@@ -570,7 +570,7 @@ def sweep() -> None:
     query type, full index rebuild per cell): for each cell it rebuilds
     the index at that (fp, ngram), runs the mixed present/rare/missing
     query set, and reports build seconds, query QPS, candidate counts
-    and super-descend probe counts — demonstrating the planner's
+    and super-descend probe counts — demonstrating the super levels'
     probe-count advantage at low fp exactly as the reference's bench
     does. Prints ONE JSON line with the whole grid."""
     import ray

@@ -110,8 +110,7 @@ def cmd_query(a: argparse.Namespace) -> int:
                for q in json.loads(open(a.queries).read())]
     hits = membership_query(load_index(a.index),
                             rd.read_parquet(a.sequences), queries, cfg,
-                            super_dir=a.index, with_counts=a.counts,
-                            probe_distinct=a.probe_distinct)
+                            super_dir=a.index, with_counts=a.counts)
     import pyarrow.parquet as pq
     pq.write_table(hits, a.out)
     print(json.dumps({"out": a.out, "hits": hits.num_rows,
@@ -268,10 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     q.add_argument("--out", required=True)
     q.add_argument("--counts", action="store_true",
                    help="include per-(query, doc) occurrence counts")
-    q.add_argument("--probe-distinct", action="store_true",
-                   help="probe nodes with distinct pattern keys only "
-                        "(fewer probes for repeated-token patterns, "
-                        "identical results)")
     _add_cfg_args(q)
     q.set_defaults(fn=cmd_query)
 
@@ -289,8 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     dc.add_argument("--id-col", default=None)
     dc.add_argument("--window", type=int, default=8,
                     help="token-window length (GPT-3 used 13)")
-    dc.add_argument("--stride", type=int, default=None,
-                    help="window stride (default: window length)")
+    dc.add_argument("--stride", type=int, default=1,
+                    help="window stride (default 1: every offset)")
     dc.add_argument("--min-windows", type=int, default=1)
     dc.add_argument("--out", required=True)
     dc.add_argument("--address", default=None)

@@ -14,8 +14,8 @@ from .similarity import (build_ann_index, build_ann_index_kmeans,
                          kmeans_fit, knn_bruteforce, knn_indexed,
                          knn_kmeans, knn_lsh, knn_pq, pq_fit)
 from .text import sample_mixture, train_bpe
-from .stats import (build_global_sketches, build_ngram_model,
-                    distinct_tokens, heavy_hitters, ntok_quantiles)
+from .stats import (build_global_sketches, distinct_tokens, heavy_hitters,
+                    ntok_quantiles)
 from .relational import (pricing_summary, revenue_by_nation,
                          revenue_by_priority, top_customers_by_spend)
 from .suffix_baseline import (build_suffix_index, linear_scan_membership,
@@ -42,6 +42,6 @@ __all__ = [
     "build_suffix_index", "load_suffix_index", "suffix_membership",
     "suffix_membership_ds", "linear_scan_membership",
     "build_super_index", "load_super_meta", "super_prune",
-    "build_ngram_model", "pricing_summary", "top_customers_by_spend",
+    "pricing_summary", "top_customers_by_spend",
     "revenue_by_priority", "revenue_by_nation",
 ]

@@ -39,14 +39,18 @@ def _index_cfg(index_dir: str) -> HbiConfig:
 
 
 def benchmark_windows(texts: list[str], seed: int, *, window: int = 8,
-                      stride: int | None = None,
-                      ids: list | None = None
+                      stride: int = 1, ids: list | None = None
                       ) -> list[tuple[str, list[int]]]:
     """Tokenize benchmark texts with the index's seed and slice into
     sliding windows -> membership-query batch. Window ids are
     ``{bench_id}\\x00{start}`` so hits fold back per benchmark item.
-    Texts shorter than ``window`` become one whole-text query."""
-    stride = stride or window
+    Texts shorter than ``window`` become one whole-text query.
+
+    ``stride`` defaults to 1, so a span shared at ANY offset is found; a
+    larger stride probes fewer windows but misses a shared span of
+    exactly ``window`` tokens that starts between two probed offsets."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     if ids is None:
         ids = list(range(len(texts)))
     arr = pa.array(texts, pa.string())
@@ -69,7 +73,7 @@ def benchmark_windows(texts: list[str], seed: int, *, window: int = 8,
 
 def decontaminate(index_dir: str, sequences_ds, texts: list[str], *,
                   ids: list | None = None, window: int = 8,
-                  stride: int | None = None, min_windows: int = 1,
+                  stride: int = 1, min_windows: int = 1,
                   cfg: HbiConfig | None = None,
                   **query_kwargs) -> pa.Table:
     """Flag corpus documents sharing >= ``min_windows`` exact

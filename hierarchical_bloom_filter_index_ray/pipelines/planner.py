@@ -1,26 +1,24 @@
-"""Query planning: seed-level selection + confidence solvers.
+"""Level-choice math used by the index build and its config.
 
 Re-derives the reference's pruning-plan math in our doc-slot tree terms:
 
 - ``pruning_level_bloom``: the alpha -> Lp mapping of
-  ``utilities/MathUtils.java:121-157`` — pick the deepest seed level whose
-  interval span still contains a token of per-slot probability p with
-  confidence ``conf``, discounted by the Bloom false-positive rate beta
-  (shallower levels answer "yes" almost surely and are uninformative).
+  ``utilities/MathUtils.java:121-157`` — the deepest level whose interval
+  span still contains a token of per-slot probability p with confidence
+  ``conf``, discounted by the Bloom false-positive rate beta (shallower
+  levels answer "yes" almost surely and are uninformative).
   NOTE: the reference's ``log2`` helper actually computes ln
   (``MathUtils.java:161-163``); we implement the documented base-2 intent
   and clamp to the same [0, max_depth] range.
-- ``solve_b_bisection``: solves ``prod_i(1 - (1-p_i)^b) = a`` for b — the
-  reference's ``solvers/PatternPruner.java:20-62`` bisection with
-  exponential bracketing, vectorized over p.
-- ``MostFreqPlanner``: per-query seed level from the window's CMS
-  estimates, ``lp = max(0, pruning_level_bloom(conf, min_i p_i, fp))`` —
-  the semantics of ``search/MostFreqPruning.java:31-52`` with the
-  per-window count-min sketch playing the per-tree estimator
-  (``estimators/CSEstimator.java:20-105``).
+- ``memory_policy_level``: the build-time memory policy built on it —
+  the first tree level worth storing for a window.
+- ``design_hops_buckets`` and its DKW/occupancy helpers: the HOPS
+  bucket count that ``HbiConfig`` derives for a rank-error target.
 
-Seed-level choice only affects probe COST: the DFS from level lp covers
-every leaf below, so verified results are unchanged (tested).
+The query side has no planner: a probe enters every window at its
+shallowest stored level (see ``query_index.BloomProbe``). The
+reference's query-time seed-level planners change only probe cost, never
+the answer, and none paid on the measured query batch.
 """
 
 from __future__ import annotations
@@ -50,585 +48,6 @@ def pruning_level_bloom(base_interval_tokens: float, max_depth: int,
         return 0
     lp = math.ceil(math.log2(ratio)) + 1
     return int(min(max(lp, 0), max_depth))
-
-
-def f_prod(b: float, p_hat: np.ndarray) -> float:
-    """prod_i (1 - (1-p_i)^b), computed in log space."""
-    terms = 1.0 - np.power(1.0 - p_hat, b)
-    if (terms <= 0.0).any():
-        return 0.0
-    return float(np.exp(np.log(terms).sum()))
-
-
-def solve_b_bisection(p_hat, a: float, eps_rel: float = 1e-8,
-                      eps_abs: float = 1e-12) -> float:
-    """Smallest b with prod_i(1-(1-p_i)^b) >= a (expected probe budget)."""
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must be in (0,1)")
-    if ((p_hat <= 0.0) | (p_hat >= 1.0)).any():
-        raise ValueError("all p_hat must lie in (0,1)")
-    b_lo, b_hi = 0.0, 1.0
-    while f_prod(b_hi, p_hat) - a < 0.0:
-        b_hi *= 2.0
-        if b_hi > 1e12:
-            raise RuntimeError("excessive upper bound (>1e12)")
-    while True:
-        b_mid = 0.5 * (b_lo + b_hi)
-        f_mid = f_prod(b_mid, p_hat) - a
-        if abs(f_mid) <= eps_abs or (b_hi - b_lo) <= eps_rel * b_mid:
-            return b_mid
-        if f_mid < 0.0:
-            b_lo = b_mid
-        else:
-            b_hi = b_mid
-
-
-def pruning_levels_bloom_vec(base_interval_tokens: float, max_depth: int,
-                             conf: float, probs: np.ndarray,
-                             beta: float) -> np.ndarray:
-    """Vectorized ``pruning_level_bloom`` over a probability array — one
-    seed level per TOKEN (the ``MultiLevelPruning`` plan,
-    ``search/MultiLevelPruning.java:23-32``)."""
-    conf = min(max(conf, 0.0), 1.0)
-    beta = min(max(beta, 0.0), 1.0)
-    p = np.clip(np.asarray(probs, dtype=np.float64), 0.0, 1.0 - 1e-15)
-    out = np.zeros(len(p), dtype=np.int64)
-    if conf <= beta:
-        out[:] = max_depth
-        return out
-    pos = p > 0.0
-    numerator = math.log1p(-conf) - math.log1p(-beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_alpha = numerator / np.log1p(-p[pos])
-        ratio = base_interval_tokens / b_alpha
-        lp = np.where((b_alpha <= 0) | ~np.isfinite(b_alpha) | (ratio <= 0),
-                      0, np.ceil(np.log2(np.maximum(ratio, 1e-300))) + 1)
-    out[pos] = np.clip(lp, 0, max_depth).astype(np.int64)
-    return out
-
-
-def solve_b_brent(p_hat, a: float, eps_rel: float = 1e-10,
-                  eps_abs: float = 1e-12, max_iter: int = 100) -> float:
-    """Brent's method (inverse-quadratic/secant/bisection) on
-    ``G(b) = prod_i(1-(1-p_i)^b) - a`` — the
-    ``solvers/PatternPrunerBrent.java`` seam, same bracketing as
-    ``solve_b_bisection``."""
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must be in (0,1)")
-    if ((p_hat <= 0.0) | (p_hat >= 1.0)).any():
-        raise ValueError("all p_hat must lie in (0,1)")
-
-    def g(b):
-        return f_prod(b, p_hat) - a
-
-    lo, hi = 0.0, 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("excessive upper bound (>1e12)")
-    fa, fb = g(lo), g(hi)
-    b_prev, f_prev = lo, fa       # "contrapoint"
-    b_cur, f_cur = hi, fb
-    if abs(f_prev) < abs(f_cur):
-        b_prev, b_cur, f_prev, f_cur = b_cur, b_prev, f_cur, f_prev
-    c, fc, d = b_prev, f_prev, b_prev
-    mflag = True
-    for _ in range(max_iter):
-        if abs(f_cur) <= eps_abs or abs(b_cur - b_prev) <= eps_rel * abs(
-                b_cur):
-            return b_cur
-        if f_prev != fc and f_cur != fc:
-            s = (b_prev * f_cur * fc / ((f_prev - f_cur) * (f_prev - fc))
-                 + b_cur * f_prev * fc / ((f_cur - f_prev) * (f_cur - fc))
-                 + c * f_prev * f_cur / ((fc - f_prev) * (fc - f_cur)))
-        else:
-            s = b_cur - f_cur * (b_cur - b_prev) / (f_cur - f_prev)
-        cond = ((s < (3 * b_prev + b_cur) / 4 or s > b_cur)
-                if b_prev < b_cur else
-                (s > (3 * b_prev + b_cur) / 4 or s < b_cur))
-        if (cond
-                or (mflag and abs(s - b_cur) >= abs(b_cur - c) / 2)
-                or (not mflag and abs(s - b_cur) >= abs(c - d) / 2)):
-            s = 0.5 * (b_prev + b_cur)
-            mflag = True
-        else:
-            mflag = False
-        fs = g(s)
-        d, c, fc = c, b_cur, f_cur
-        if f_prev * fs < 0:
-            b_cur, f_cur = s, fs
-        else:
-            b_prev, f_prev = s, fs
-        if abs(f_prev) < abs(f_cur):
-            b_prev, b_cur, f_prev, f_cur = b_cur, b_prev, f_cur, f_prev
-    return b_cur
-
-
-def solve_b_halley(p_hat, a: float, eps_rel: float = 1e-10,
-                   eps_abs: float = 1e-12) -> float:
-    """Bracket-clamped Halley iteration in log space
-    (``solvers/PatternPrunerHalley.java:17-110``): cubic convergence near
-    the root, bisection midpoint fallback whenever a step leaves the
-    bracket."""
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must be in (0,1)")
-    if ((p_hat <= 0.0) | (p_hat >= 1.0)).any():
-        raise ValueError("all p_hat must lie in (0,1)")
-    one_minus = 1.0 - p_hat
-    ln = np.log(one_minus)
-
-    def g(b):
-        return f_prod(b, p_hat) - a
-
-    b_lo, b_hi = 0.0, 1.0
-    while g(b_hi) < 0.0:
-        b_hi *= 2.0
-        if b_hi > 1e12:
-            raise RuntimeError("failed to bracket (b_hi > 1e12)")
-    # Divergence from the reference: the bracket is tightened from the
-    # current iterate BEFORE any midpoint fallback, so a Halley step that
-    # leaves the bracket can never return the untightened midpoint as
-    # "converged" (the reference's relative-step test can).
-    b = 0.5 * (b_lo + b_hi)
-    for _ in range(200):
-        gv = g(b)
-        if abs(gv) <= eps_abs or (b_hi - b_lo) <= eps_rel * max(b, 1e-300):
-            return b
-        if gv < 0.0:
-            b_lo = b
-        else:
-            b_hi = b
-        pw = np.power(one_minus, b)
-        y = 1.0 - pw
-        b_new = None
-        if not (y <= 0.0).any():
-            F = float(np.exp(np.log(y).sum()))
-            s1 = float((-pw * ln / y).sum())        # sum y'/y
-            s2 = float((pw * ln * ln / y).sum())    # sum y''/y
-            g1 = F * s1
-            g2 = F * (s1 * s1 - s2)
-            denom = 2.0 * g1 * g1 - gv * g2
-            if denom != 0.0:
-                b_new = b - (2.0 * gv * g1) / denom
-        if b_new is None or not (b_lo < b_new < b_hi):
-            b_new = 0.5 * (b_lo + b_hi)  # safeguarded bisection step
-        b = b_new
-    raise RuntimeError("Halley failed to converge in 200 iterations")
-
-
-def solve_b_hybrid(p_hat, a: float, **kw) -> float:
-    """Halley first (fast when well-conditioned), Brent on failure — the
-    ``solvers/PatternPrunerHybrid.java`` seam."""
-    try:
-        return solve_b_halley(p_hat, a, **kw)
-    except RuntimeError:
-        return solve_b_brent(p_hat, a, **kw)
-
-
-SOLVERS = {
-    "bisection": solve_b_bisection,
-    "brent": solve_b_brent,
-    "halley": solve_b_halley,
-    "hybrid": solve_b_hybrid,
-}
-
-
-class MostFreqPlanner:
-    """Per-(window, query) seed level from the window CMS.
-
-    ``plan(cms, window_tokens, query_keys)`` -> level int. Uses the
-    minimum estimated per-slot probability over the query's n-gram keys
-    (rare tokens prune deepest — ``MostFreqPruning.java:45-50``).
-    """
-
-    def __init__(self, conf: float, fp: float, max_depth: int):
-        self.conf = conf
-        self.fp = fp
-        self.max_depth = max_depth
-
-    def plan(self, cms, window_tokens: int, query_keys: np.ndarray) -> int:
-        if cms is None or window_tokens <= 0:
-            return 0
-        est = cms.estimate(query_keys).astype(np.float64)
-        p = est / max(window_tokens, 1)
-        p_min = float(np.clip(p.min(), 1e-12, 1 - 1e-9))
-        base = window_tokens / (1 << self.max_depth)  # leaf interval tokens
-        return pruning_level_bloom(base, self.max_depth, self.conf, p_min,
-                                   self.fp)
-
-
-def cost_at_level(probs: np.ndarray, lp: int, max_depth: int,
-                  window_tokens: int, beta: float) -> float:
-    """Expected probe count when seeding the sweep at level ``lp``.
-
-    Independence-model version of the reference's inclusion-exclusion cost
-    (``estimators/CostFunctionIE.java:29-75`` with ieMaxOrder=1; the full
-    IE orders refine the same expectation): a node at level L spans
-    ``b_L = window_tokens / 2^L`` token slots; it passes the probe of all r
-    query keys with probability ``prod_i min(1, 1-(1-p_i)^{b_L} + beta)``,
-    and each passing node fans out to 2 children.
-
-    cost(lp) = sum over levels L >= lp of E[nodes visited at L] * r.
-    """
-    r = len(probs)
-    nodes = float(1 << lp)
-    total = 0.0
-    for level in range(lp, max_depth + 1):
-        total += nodes * r
-        if level == max_depth:
-            break
-        b = window_tokens / (1 << level)
-        pass_p = float(np.prod(np.minimum(
-            1.0, 1.0 - np.power(1.0 - probs, b) + beta)))
-        nodes = 2.0 * nodes * pass_p
-        if nodes < 1e-9:
-            break
-    return total
-
-
-def minimize_level_cost(probs: np.ndarray, max_depth: int,
-                        window_tokens: int, beta: float,
-                        pattern_len: int = 1) -> tuple[int, float]:
-    """Seed level minimizing expected probes
-    (``estimators/LevelCostMinimizer.java:15-55``): scan Lp in
-    [0, max_depth - ceil(log2(pattern_len))] (a level must still host the
-    pattern — ``MathUtils.childCanHost``) and take the argmin."""
-    probs = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1 - 1e-9)
-    max_lp = max(0, max_depth - max(0, math.ceil(
-        math.log2(max(1, pattern_len)))))
-    best_lp, best_cost = 0, float("inf")
-    for lp in range(0, max_lp + 1):
-        c = cost_at_level(probs, lp, max_depth, window_tokens, beta)
-        if c < best_cost:
-            best_lp, best_cost = lp, c
-    return best_lp, best_cost
-
-
-# ------------------------------------------- full inclusion-exclusion IE --
-# Re-derivation of the reference's higher-order cost model
-# (``estimators/CostFunctionIE.java:29-75`` + ``utilities/MathUtils.java``
-# HF_uncond_pos_beta / HF_cond_from_q_pos_beta / IE_prefix_collapsed_beta):
-# a node at level L spans bL = W >> L token slots; the probe of pattern key
-# sequence k_1..k_r short-circuits at the first miss, so the expected probe
-# count H at a node is 1 + sum over positions of P(all previous distinct
-# keys present), with presence probabilities combined by inclusion-
-# exclusion over "key absent from the block" events (orders beyond
-# ``max_order`` truncated). F is the node pass probability; descending
-# nodes fan out x2 weighted by the parent's F.
-
-def _distinct_first(key_seq: np.ndarray, probs: np.ndarray, b_l: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """First-occurrence probs of distinct keys among the first
-    min(r, bL) positions + per-prefix position multiplicities."""
-    ell = min(len(key_seq), b_l)
-    if ell <= 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    _, first_idx = np.unique(key_seq[:ell], return_index=True)
-    first_idx = np.sort(first_idx)
-    p_first = np.clip(probs[first_idx], 0.0, 1.0)
-    nxt = np.concatenate([first_idx[1:], [ell - 1]])
-    mult = nxt - first_idx
-    return p_first, mult
-
-
-def _sum_comb_powers(p: np.ndarray, k: int, start: int, sum_p: float,
-                     b_l: int) -> float:
-    """sum over k-subsets S of (1 - sum_{i in S} p_i)^bL
-    (``MathUtils.sumCombPowers_k``)."""
-    if k == 0:
-        return float(np.clip(1.0 - sum_p, 0.0, 1.0)) ** b_l
-    total = 0.0
-    for i in range(start, len(p) - k + 1):
-        total += _sum_comb_powers(p, k - 1, i + 1, sum_p + float(p[i]), b_l)
-    return total
-
-
-def ie_prefix_pass_prob(p_first: np.ndarray, m: int, b_l: int,
-                        beta: float, max_order: int | None = None) -> float:
-    """P(first m distinct keys all pass the level filter), IE up to
-    ``max_order`` (``MathUtils.IE_prefix_collapsed_beta:312-331``)."""
-    m = max(0, min(m, len(p_first)))
-    if m == 0:
-        return 1.0
-    t = m if max_order is None else max(0, min(max_order, m))
-    omb = 1.0 - beta
-    f = 1.0
-    for k in range(1, t + 1):
-        s = _sum_comb_powers(p_first[:m], k, 0, 0.0, b_l)
-        f += (1.0 if k % 2 == 0 else -1.0) * (omb ** k) * s
-    return float(np.clip(f, 0.0, 1.0))
-
-
-def hf_node(width: int, level: int, key_seq: np.ndarray, probs: np.ndarray,
-            beta: float, max_order: int | None = None
-            ) -> tuple[float, float]:
-    """(H, F): expected probes at one level-``level`` node and its pass
-    probability (``MathUtils.HF_uncond_pos_beta:233-264``)."""
-    b_l = width >> level
-    p_first, mult = _distinct_first(key_seq, probs, b_l)
-    if len(p_first) == 0:
-        return (0.0, 1.0) if b_l <= 0 or len(key_seq) == 0 else (1.0, 1.0)
-    fm = np.array([ie_prefix_pass_prob(p_first, m, b_l, beta, max_order)
-                   for m in range(1, len(p_first) + 1)])
-    h = 1.0 + float((mult * fm).sum())
-    return h, float(fm[-1])
-
-
-def q_cond_child_given_parent(probs: np.ndarray, width: int, level: int,
-                              beta_prev: float, beta_l: float) -> np.ndarray:
-    """Per-key P(child passes | parent passed)
-    (``MathUtils.qCondChildGivenParent:196-216``)."""
-    b_prev = width >> (level - 1)
-    b_l = width >> level
-    p = np.clip(np.asarray(probs, dtype=np.float64), 0.0, 1.0)
-    h_prev = 1.0 - np.power(1.0 - p, b_prev)
-    h_l = 1.0 - np.power(1.0 - p, b_l)
-    numer = h_l + beta_l * (h_prev - h_l) + beta_l * beta_prev * (1.0 - h_prev)
-    denom = beta_prev + (1.0 - beta_prev) * h_prev
-    q = np.where(denom > 0.0, numer / np.maximum(denom, 1e-300), 1.0)
-    return np.clip(q, 0.0, 1.0)
-
-
-def hf_node_cond(width: int, level: int, key_seq: np.ndarray,
-                 q_cond: np.ndarray, beta: float,
-                 max_order: int | None = None) -> tuple[float, float]:
-    """(H, F) of a child node under the parent-conditional per-key pass
-    probabilities (``MathUtils.HF_cond_from_q_pos_beta:271-306``):
-    q is folded back to an effective per-slot probability p_eff with
-    (1-p_eff)^bL = 1-g, g = (q-beta)/(1-beta)."""
-    b_l = width >> level
-    ell = min(len(key_seq), b_l)
-    if ell <= 0:
-        return 0.0, 1.0
-    _, first_idx = np.unique(key_seq[:ell], return_index=True)
-    first_idx = np.sort(first_idx)
-    omb = 1.0 - beta
-    q = np.clip(q_cond[first_idx], 0.0, 1.0)
-    g = np.clip((q - beta) / omb, 0.0, 1.0) if omb > 0 else np.ones_like(q)
-    p_eff = np.clip(1.0 - np.power(1.0 - g, 1.0 / max(1, b_l)), 0.0, 1.0)
-    nxt = np.concatenate([first_idx[1:], [ell - 1]])
-    mult = nxt - first_idx
-    fm = np.array([ie_prefix_pass_prob(p_eff, m, b_l, beta, max_order)
-                   for m in range(1, len(p_eff) + 1)])
-    h = 1.0 + float((mult * fm).sum())
-    return h, float(fm[-1])
-
-
-def deepest_visited_level(width: int, r: int, max_depth: int) -> int:
-    """Deepest level whose block still hosts the whole pattern
-    (``MathUtils.deepestVisitedLevel:176-183``)."""
-    lv = 0
-    while lv < max_depth and (width >> (lv + 1)) >= max(1, r):
-        lv += 1
-    return lv
-
-
-# ------------------------------------------------- selective fanout ----
-_SF_MIN_MULT, _SF_MAX_MULT = 1.0, 2.0
-_SF_DEPTH_W, _SF_FEAS_W, _SF_COST_W = 0.4, 0.4, 0.2
-
-
-def fanout_cost_efficiency(parent_cost: float, child_cost: float) -> float:
-    """Relative expected-probe-cost score in [0, 1]
-    (``estimators/SelectiveFanout.java:50-60``)."""
-    if child_cost <= 0.0:
-        return 0.0
-    if parent_cost <= 0.0:
-        return 1.0
-    return float(min(max(parent_cost / child_cost, 0.0), 1.0))
-
-
-def selective_fanout_multiplier(parent_level: int, start_level: int,
-                                desc_limit: int, feasibility: float,
-                                cost_efficiency: float, *,
-                                enabled: bool = True) -> float:
-    """Branching multiplier in [1, 2]
-    (``estimators/SelectiveFanout.java:27-47``): weighted normalized
-    depth + feasibility + cost-efficiency score. Disabled -> always 2
-    children (the reference's default regime)."""
-    if not enabled:
-        return _SF_MAX_MULT
-    depth = 0.0
-    if desc_limit > start_level:
-        depth = (max(0, parent_level - start_level)
-                 / float(desc_limit - start_level))
-    score = (_SF_DEPTH_W * depth
-             + _SF_FEAS_W * min(max(feasibility, 0.0), 1.0)
-             + _SF_COST_W * min(max(cost_efficiency, 0.0), 1.0))
-    score = min(max(score, 0.0), 1.0)
-    return _SF_MIN_MULT + (_SF_MAX_MULT - _SF_MIN_MULT) * score
-
-
-def cost_at_level_ie(key_seq: np.ndarray, probs: np.ndarray, lp: int,
-                     width: int, max_depth: int, *,
-                     betas: np.ndarray | float = 0.0,
-                     max_order: int | None = None,
-                     selective: bool = False) -> float:
-    """Expected probe count seeding at ``lp`` under the full IE model
-    (``CostFunctionIE.costAtLevel:29-75``). ``betas`` may be a scalar or
-    a per-level array (per-level beta = the CostFunctionMaxProb seam).
-    ``selective=True`` enables the SelectiveFanout regime (branching
-    multiplier in [1, 2] instead of the default fanout 2,
-    ``CostFunctionIE.java:57-63``)."""
-    key_seq = np.asarray(key_seq)
-    probs = np.clip(np.asarray(probs, dtype=np.float64), 1e-12, 1 - 1e-9)
-    r = len(key_seq)
-    l_desc = deepest_visited_level(width, r, max_depth)
-    beta_arr = (np.full(max_depth + 1, float(betas))
-                if np.isscalar(betas) else np.asarray(betas, np.float64))
-    nodes = float(1 << lp)
-    h, f = hf_node(width, lp, key_seq, probs, float(beta_arr[lp]), max_order)
-    total = h * nodes
-    level = lp
-    while level < l_desc and (width >> (level + 1)) >= r:
-        nxt = level + 1
-        q = q_cond_child_given_parent(probs, width, nxt,
-                                      float(beta_arr[level]),
-                                      float(beta_arr[nxt]))
-        h_c, f_c = hf_node_cond(width, nxt, key_seq, q,
-                                float(beta_arr[nxt]), max_order)
-        fanout = selective_fanout_multiplier(
-            level, lp, l_desc, f, fanout_cost_efficiency(h, h_c),
-            enabled=selective)
-        nodes = fanout * nodes * f
-        if nodes <= 0.0:
-            break
-        total += h_c * nodes
-        h, f = h_c, f_c
-        level = nxt
-    return total
-
-
-def minimize_level_cost_ie(key_seq: np.ndarray, probs: np.ndarray,
-                           width: int, max_depth: int, *,
-                           betas: np.ndarray | float = 0.0,
-                           max_order: int | None = None,
-                           selective: bool = False,
-                           base_interval_tokens: float | None = None
-                           ) -> tuple[int, float]:
-    """argmin over seed levels of the IE probe cost
-    (``LevelCostMinimizer`` over ``CostFunctionIE``). With
-    ``selective=True`` the chosen level is additionally clamped to
-    ``pruningLevel(conf=0.99, p_min)`` — the selective-regime guard of
-    ``LevelCostMinimizer.java:29,50-53`` (beta = 0, i.e. ``pruningLevel``
-    not ``pruningLevelBloom``)."""
-    r = len(key_seq)
-    max_lp = deepest_visited_level(width, r, max_depth)
-    best_lp, best_cost = 0, float("inf")
-    for lp in range(0, max_lp + 1):
-        c = cost_at_level_ie(key_seq, probs, lp, width, max_depth,
-                             betas=betas, max_order=max_order,
-                             selective=selective)
-        if c < best_cost:
-            best_lp, best_cost = lp, c
-    if selective:
-        p_min = float(np.clip(np.asarray(probs, np.float64).min(),
-                              1e-12, 1 - 1e-9))
-        base = (float(base_interval_tokens) if base_interval_tokens
-                else float(width))
-        clamp = pruning_level_bloom(base, max_depth, 0.99, p_min, 0.0)
-        if best_lp > clamp:
-            best_lp = clamp
-    return best_lp, best_cost
-
-
-class SetConfPlanner:
-    """Manual-confidence plan (``estimators/CostFunctionSetConf.java:12-19``):
-    seed level from the MINIMUM estimated key probability at the given
-    confidence, with no bloom-FPR discount (``pruningLevel`` vs
-    ``pruningLevelBloom`` — beta = 0)."""
-
-    def __init__(self, conf: float, max_depth: int):
-        self.conf = conf
-        self.max_depth = max_depth
-
-    def plan(self, cms, window_tokens: int, query_keys: np.ndarray) -> int:
-        if cms is None or window_tokens <= 0:
-            return 0
-        est = cms.estimate(query_keys).astype(np.float64)
-        p = est / max(window_tokens, 1)
-        p_min = float(np.clip(p.min(), 1e-12, 1 - 1e-9))
-        base = window_tokens / (1 << self.max_depth)
-        return pruning_level_bloom(base, self.max_depth, self.conf, p_min,
-                                   0.0)
-
-
-class IECostPlanner:
-    """Seed-level choice by the FULL inclusion-exclusion cost model
-    (``CostFunctionIE`` with configurable ``ie_max_order``; order 1
-    reduces to the independence model of ``cost_at_level``). Per-level
-    betas may come from the actual filters (the CostFunctionMaxProb
-    behavior) or a scalar."""
-
-    def __init__(self, fp: float, max_depth: int, *, max_order: int = 2,
-                 selective: bool = False):
-        self.fp = fp
-        self.max_depth = max_depth
-        self.max_order = max_order
-        self.selective = selective  # SelectiveFanout regime (off = ref default)
-
-    def plan(self, cms, window_tokens: int, query_keys: np.ndarray) -> int:
-        if cms is None or window_tokens <= 0:
-            return 0
-        est = cms.estimate(query_keys).astype(np.float64)
-        probs = est / max(window_tokens, 1)
-        lp, _ = minimize_level_cost_ie(
-            query_keys, probs, window_tokens, self.max_depth, betas=self.fp,
-            max_order=self.max_order, selective=self.selective,
-            base_interval_tokens=window_tokens / (1 << self.max_depth))
-        return lp
-
-
-class MarkovPlanner:
-    """Markov-conditioned seed level (the ``CostFunctionMarkov`` seam,
-    ``estimators/CostFunctionMarkov.java:29-95``): per-slot probability of
-    the WHOLE pattern from the NgramModel's stationary law and first-order
-    conditionals, ``pi(t1) * prod P(t_i | t_{i-1})`` — the model's
-    ``P_cond`` chain. Divergence from the reference: we plan on the
-    composed pattern probability through the closed-form level map instead
-    of re-deriving the per-prefix Fm chains; any pattern symbol outside
-    the model yields no plan (seed 0 — the reference's null-indices path
-    returns cost 0 for the same reason)."""
-
-    def __init__(self, model, conf: float, fp: float, max_depth: int):
-        self.model = model
-        self.conf = conf
-        self.fp = fp
-        self.max_depth = max_depth
-
-    def plan_tokens(self, window_tokens: int,
-                    query_tokens: np.ndarray) -> int:
-        if self.model is None or window_tokens <= 0:
-            return 0
-        p = self.model.pattern_slot_prob(query_tokens)
-        if p is None:
-            return 0  # symbol remap failed: cannot prune via the model
-        p = float(np.clip(p, 1e-12, 1 - 1e-9))
-        base = window_tokens / (1 << self.max_depth)
-        return pruning_level_bloom(base, self.max_depth, self.conf, p,
-                                   self.fp)
-
-
-class CostPlanner:
-    """Per-(window, query) seed level by expected-probe-cost minimization
-    (the ``CostFunctionIE``/``LevelCostMinimizer`` seam; independence
-    model). Same results as root-seeded probing, different cost profile."""
-
-    def __init__(self, fp: float, max_depth: int):
-        self.fp = fp
-        self.max_depth = max_depth
-
-    def plan(self, cms, window_tokens: int, query_keys: np.ndarray) -> int:
-        if cms is None or window_tokens <= 0:
-            return 0
-        est = cms.estimate(query_keys).astype(np.float64)
-        probs = est / max(window_tokens, 1)
-        lp, _ = minimize_level_cost(probs, self.max_depth, window_tokens,
-                                    self.fp, pattern_len=len(query_keys))
-        return lp
 
 
 # ------------------------------------------------- HOPS bucket auto-design --

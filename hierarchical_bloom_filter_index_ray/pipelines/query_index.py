@@ -9,9 +9,9 @@ Mirrors the reference's query path (``PMIndex/HBI.report``
    instead of one per tree node. All-n-grams-present -> descend, first
    miss -> prune (the semantics of ``search/BlockSearch.java:15-128`` +
    ``search/IntervalScanner.java:7-89``); leaf survivors emit candidate
-   doc slots. No false negatives by Bloom construction. With ``conf``
-   set, a ``MostFreqPlanner`` injects each query at its seed level
-   (``search/MostFreqPruning.java:31-52``) — cost only, results unchanged.
+   doc slots. No false negatives by Bloom construction. Every query
+   enters at the window's shallowest stored level and probes each node
+   with its distinct n-gram keys (``search/BlockSearchCharSet.java``).
 2. **Verify** (``map_batches`` over the *sequences* Dataset, compact
    numpy candidate structs broadcast — a semi-join): exact sliding-window
    token-sequence match against the raw rows, the analogue of
@@ -38,17 +38,16 @@ from ..functions.tokenize import flat_tokens_and_offsets
 from ..state import sketch_from_bytes
 from ..state.splitmix import derive_seed, hash_u64, splitmix64
 
+# _match_pairs full-scan threshold: a query whose candidate segments
+# cover at least this share of a batch's flat token array is matched by
+# one sequential sweep over the whole array instead of a segment gather
+_FULLSCAN_FRAC = 0.5
 
-def compile_queries(queries: list[tuple[str, list[int]]], cfg: HbiConfig,
-                    *, strides: bool = False) -> list[dict]:
+
+def compile_queries(queries: list[tuple[str, list[int]]], cfg: HbiConfig
+                    ) -> list[dict]:
     """Pattern compiler (``search/Pattern.java:22-97``): token sequence ->
-    sliding n-gram keys in the same key space as the index build.
-
-    ``strides=True`` probes only every ngram-th key (the reference's
-    strided effective-ngram mode, ``search/Pattern.java:37-44`` /
-    ``search/BlockSearch.java:142-155``): fewer probe keys per node, same
-    exact results (verification is exact either way) — a probe-cost knob.
-    """
+    sliding n-gram keys in the same key space as the index build."""
     ngram_seed = derive_seed(cfg.seed, "ngram")
     out = []
     for qid, tokens in queries:
@@ -64,8 +63,6 @@ def compile_queries(queries: list[tuple[str, list[int]]], cfg: HbiConfig,
             shifted[-j:] = 0
             acc = splitmix64(acc ^ shifted)
         keys = acc[: len(toks) - cfg.ngram + 1]
-        if strides and cfg.ngram > 1:
-            keys = keys[:: cfg.ngram]
         out.append({"query_id": qid, "tokens": toks, "ngram_keys": keys})
     return out
 
@@ -103,23 +100,15 @@ def _grouped_arange(starts: np.ndarray, lens: np.ndarray
 
 
 class BloomProbe:
-    """Index-partition probe (vectorized level-sweep BFS)."""
+    """Index-partition probe (vectorized level-sweep BFS).
 
-    def __init__(self, cfg: HbiConfig, queries_ref, conf: float | None = None,
-                 planner: str | None = None, allowed_ref=None,
-                 markov_model=None, probe_distinct: bool = False):
+    One probe policy: every query enters each window at its shallowest
+    stored level and probes each node with its DISTINCT n-gram keys —
+    the node test is an AND over set membership, so duplicate keys add
+    nothing (the reference's ``search/BlockSearchCharSet.java``)."""
+
+    def __init__(self, cfg: HbiConfig, queries_ref, allowed_ref=None):
         self.cfg = cfg
-        self.conf = conf
-        # NgramModel for planner="markov" (bytes or live instance)
-        self.markov_model = (sketch_from_bytes(markov_model)
-                             if isinstance(markov_model, bytes)
-                             else markov_model)
-        # planner seam: None | "mostfreq" (MostFreqPruning) | "cost"
-        # (LevelCostMinimizer / CostFunctionIE independence model) |
-        # "ie" / "ie_selective" (full IE; SelectiveFanout regime) |
-        # "multilevel" | "setconf" | "markov"
-        self.planner_kind = planner or ("mostfreq" if conf is not None
-                                        else None)
         # super-level gate: {source: (win_sorted, offsets, qi_flat)} — a
         # window only probes the queries that survived the cross-window
         # descend down to it (pipelines/super_index.py). An ObjectRef here
@@ -133,14 +122,7 @@ class BloomProbe:
         qs = ray.get(queries_ref) if not isinstance(queries_ref, list) \
             else queries_ref
         self.queries = qs
-        # probe_distinct: the BlockSearchCharSet variant
-        # (search/BlockSearchCharSet.java) — probe each node with the
-        # DISTINCT n-gram keys only. The candidate test is an AND over
-        # set membership, so duplicate keys add zero information;
-        # repeated-token patterns probe fewer keys with identical results.
-        key_segs = ([np.unique(q["ngram_keys"]) for q in qs]
-                    if probe_distinct
-                    else [q["ngram_keys"] for q in qs])
+        key_segs = [np.unique(q["ngram_keys"]) for q in qs]
         self.q_keys = (np.concatenate(key_segs)
                        if qs else np.empty(0, dtype=np.uint64))
         self.q_lens = np.array([len(k) for k in key_segs], dtype=np.int64)
@@ -151,75 +133,35 @@ class BloomProbe:
              for lv in range(cfg.num_levels)], dtype=np.uint64)
         self.probe_key_count = 0  # bloom keys probed (cost instrumentation)
 
-    def _sweep(self, blooms: dict, seed_levels: np.ndarray,
-               key_levels: np.ndarray | None = None
+    def _sweep(self, blooms: dict, qis: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """BFS over (interval, query) pairs; returns surviving leaf pairs
-        (slots, query_idx). ``seed_levels[q]`` = level at which query q
-        enters the frontier (clamped to available levels).
-
-        ``key_levels`` (flat, aligned with ``self.q_keys``): per-TOKEN
-        activation levels — the ``MultiLevelPruning`` semantics
-        (``search/MultiLevelPruning.java:23-32``): a node at level L is
-        probed only with the query tokens whose plan level <= L (shallower
-        filters answer "yes" almost surely for frequent tokens and are
-        uninformative). ``None`` probes every token at every level."""
+        """BFS over (interval, query) pairs from the shallowest stored
+        level down to the leaves; returns surviving leaf pairs (slots,
+        query_idx). Levels dropped by the memory policy are skipped."""
         wb = self.cfg.window_bits
-        sorted_keys = self.q_keys
-        active_len = None
-        if key_levels is not None:
-            # sort keys within each query segment by activation level; the
-            # level-L active set is then a prefix per query
-            key_qidx = np.repeat(np.arange(len(self.q_lens)), self.q_lens)
-            order = np.lexsort((key_levels, key_qidx))
-            sorted_keys = self.q_keys[order]
-            sorted_lv = key_levels[order]
-            active_len = np.empty((len(self.q_lens), wb + 1), dtype=np.int64)
-            for q in range(len(self.q_lens)):
-                seg = sorted_lv[self.q_bounds[q]:self.q_bounds[q + 1]]
-                active_len[q] = np.searchsorted(seg, np.arange(wb + 1),
-                                                side="right")
-        cur_iv = np.empty(0, dtype=np.int64)
-        cur_qi = np.empty(0, dtype=np.int64)
-        for lv in range(wb + 1):
-            entering = np.nonzero(seed_levels == lv)[0]
-            if len(entering):
-                n_iv = 1 << lv
-                cur_iv = np.concatenate(
-                    [cur_iv, np.repeat(np.arange(n_iv, dtype=np.int64),
-                                       len(entering))])
-                cur_qi = np.concatenate(
-                    [cur_qi, np.tile(entering, n_iv)])
-            if len(cur_iv) == 0:
-                continue
+        n_iv = 1 << min(blooms)
+        cur_iv = np.repeat(np.arange(n_iv, dtype=np.int64), len(qis))
+        cur_qi = np.tile(qis, n_iv)
+        for lv in range(min(blooms), wb + 1):
+            if not len(cur_iv):
+                break
             bloom = blooms.get(lv)
-            if bloom is not None:  # level may be dropped by memory policy
-                lens = (self.q_lens[cur_qi] if active_len is None
-                        else active_len[cur_qi, lv])
-                nz = lens > 0
-                ok = np.ones(len(cur_iv), dtype=bool)
-                if nz.any():
-                    key_idx, offs = _grouped_arange(
-                        self.q_bounds[cur_qi[nz]], lens[nz])
-                    salts = splitmix64(cur_iv[nz].astype(np.uint64)
-                                       ^ self.level_salts[lv])
-                    keys = sorted_keys[key_idx] ^ np.repeat(salts, lens[nz])
-                    self.probe_key_count += len(keys)
-                    hits = bloom.contains(keys)
-                    ok[nz] = np.logical_and.reduceat(hits, offs[:-1]) \
-                        if len(hits) else np.empty(0, dtype=bool)
+            if bloom is not None:
+                lens = self.q_lens[cur_qi]
+                key_idx, offs = _grouped_arange(self.q_bounds[cur_qi], lens)
+                salts = splitmix64(cur_iv.astype(np.uint64)
+                                   ^ self.level_salts[lv])
+                keys = self.q_keys[key_idx] ^ np.repeat(salts, lens)
+                self.probe_key_count += len(keys)
+                ok = np.logical_and.reduceat(bloom.contains(keys), offs[:-1])
                 cur_iv, cur_qi = cur_iv[ok], cur_qi[ok]
             if lv == wb:
                 break
-            # NOTE: an empty frontier must NOT end the sweep — queries with
-            # deeper seed levels still enter at later iterations
-            if len(cur_iv):
-                cur_iv = np.concatenate([cur_iv * 2, cur_iv * 2 + 1])
-                cur_qi = np.tile(cur_qi, 2)
+            cur_iv = np.concatenate([cur_iv * 2, cur_iv * 2 + 1])
+            cur_qi = np.tile(cur_qi, 2)
         return cur_iv, cur_qi
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
         if not self._allowed_ready:
             # NON-blocking: apply the cross-window gate only once the
             # async descend has finished — earlier batches probe with
@@ -233,21 +175,15 @@ class BloomProbe:
                                 and hasattr(obj, "allowed") else obj)
                 self._allowed_ready = True
         out: list[tuple[str, int, np.ndarray, np.ndarray]] = []
-        n_q = len(self.queries)
-        if n_q:
+        all_q = np.arange(len(self.queries), dtype=np.int64)
+        if len(all_q):
             sources = batch["source"].to_pylist()
             windows = batch["window_id"].to_pylist()
             blobs = batch["bloom_tree"].to_pylist()
-            has_planner = (self.planner_kind is not None
-                           and "cms" in batch.column_names)
-            cms_blobs = batch["cms"].to_pylist() if has_planner else None
-            n_tokens = (batch["n_tokens"].to_pylist()
-                        if "n_tokens" in batch.column_names else None)
-            for r, (src, win, blob) in enumerate(zip(sources, windows,
-                                                     blobs)):
+            for src, win, blob in zip(sources, windows, blobs):
                 if blob is None:
                     continue
-                q_gate = None
+                qis = all_q
                 if self.allowed is not None:
                     struct = self.allowed.get(str(src))
                     if struct is None:
@@ -256,74 +192,10 @@ class BloomProbe:
                     pos = np.searchsorted(wins_a, win)
                     if pos >= len(wins_a) or wins_a[pos] != win:
                         continue  # no query survived to this window
-                    q_gate = qi_a[offs_a[pos]:offs_a[pos + 1]]
+                    qis = np.unique(qi_a[offs_a[pos]:offs_a[pos + 1]])
                 blooms = {int(lv): sketch_from_bytes(b)
                           for lv, b in pickle.loads(blob).items()}
-                min_lvl = min(blooms)
-                key_levels = None
-                if (self.planner_kind == "markov"
-                        and self.markov_model is not None
-                        and n_tokens is not None):
-                    from .planner import MarkovPlanner
-                    mk = MarkovPlanner(self.markov_model, self.conf or 0.95,
-                                       cfg.fp, cfg.window_bits)
-                    wtok = int(n_tokens[r])
-                    seed_levels = np.array(
-                        [min(max(mk.plan_tokens(wtok, q["tokens"]),
-                                 min_lvl), cfg.window_bits)
-                         for q in self.queries], dtype=np.int64)
-                elif has_planner and cms_blobs[r] is not None:
-                    cms = sketch_from_bytes(cms_blobs[r])
-                    wtok = int(n_tokens[r]) if n_tokens else 0
-                    if self.planner_kind == "multilevel" and wtok > 0:
-                        # per-TOKEN seed levels from one bulk CMS estimate
-                        # (search/MultiLevelPruning.java:23-32)
-                        from .planner import pruning_levels_bloom_vec
-                        est = cms.estimate(self.q_keys).astype(np.float64)
-                        probs = np.clip(est / wtok, 1e-12, 1 - 1e-9)
-                        base = wtok / (1 << cfg.window_bits)
-                        key_levels = np.clip(
-                            pruning_levels_bloom_vec(
-                                base, cfg.window_bits, self.conf or 0.95,
-                                probs, cfg.fp),
-                            min_lvl, cfg.window_bits)
-                        seed_levels = np.minimum.reduceat(
-                            key_levels, self.q_bounds[:-1])
-                    else:
-                        from .planner import (CostPlanner, IECostPlanner,
-                                              MostFreqPlanner,
-                                              SetConfPlanner)
-                        if self.planner_kind == "cost":
-                            planner = CostPlanner(cfg.fp, cfg.window_bits)
-                        elif self.planner_kind == "ie":
-                            planner = IECostPlanner(cfg.fp,
-                                                    cfg.window_bits)
-                        elif self.planner_kind == "ie_selective":
-                            # SelectiveFanout regime (SelectiveFanout.java)
-                            planner = IECostPlanner(cfg.fp,
-                                                    cfg.window_bits,
-                                                    selective=True)
-                        elif self.planner_kind == "setconf":
-                            planner = SetConfPlanner(self.conf or 0.95,
-                                                     cfg.window_bits)
-                        else:
-                            planner = MostFreqPlanner(self.conf or 0.95,
-                                                      cfg.fp,
-                                                      cfg.window_bits)
-                        seed_levels = np.array(
-                            [min(max(planner.plan(
-                                cms, wtok,
-                                self.q_keys[self.q_bounds[q]:
-                                            self.q_bounds[q + 1]]
-                            ), min_lvl), cfg.window_bits)
-                             for q in range(n_q)], dtype=np.int64)
-                else:
-                    seed_levels = np.full(n_q, min_lvl, dtype=np.int64)
-                if q_gate is not None:
-                    gated = np.full(n_q, cfg.window_bits + 1, dtype=np.int64)
-                    gated[q_gate] = seed_levels[q_gate]  # > wb never enters
-                    seed_levels = gated
-                slots, qi = self._sweep(blooms, seed_levels, key_levels)
+                slots, qi = self._sweep(blooms, qis)
                 if len(slots):
                     out.append((src, win, slots, qi))
         if not out:
@@ -354,7 +226,7 @@ def _match_pairs(flat: np.ndarray, offsets: np.ndarray,
     pairs, adaptive per query:
 
     - **full-scan** (high-cardinality queries): when a query's candidate
-      segments cover >= ``HBI_FULLSCAN_FRAC`` (default 0.5) of the
+      segments cover >= ``_FULLSCAN_FRAC`` (0.5) of the
       batch's flat token array, the shifted-compare sweep runs over the
       WHOLE flat array sequentially and the matched rows are intersected
       with the candidate row set afterwards. The per-pair segment gather
@@ -377,7 +249,6 @@ def _match_pairs(flat: np.ndarray, offsets: np.ndarray,
     indices, matched query indices, per-pair occurrence counts —
     overlapping starts each count, matching the reference's
     per-position ``report``)."""
-    import os as _os
     empty = (np.empty(0, np.int64), np.empty(0, np.int32),
              np.empty(0, np.int64))
     if not len(pair_rows):
@@ -397,10 +268,9 @@ def _match_pairs(flat: np.ndarray, offsets: np.ndarray,
     qcounts = qbounds[1:] - qbounds[:-1]
     n_flat = len(flat)
     n_rows = len(offsets) - 1
-    frac = float(_os.environ.get("HBI_FULLSCAN_FRAC", "0.5"))
     seg_cum = np.concatenate([[0], np.cumsum(seg_lens)])
     scan_q = ((seg_cum[qbounds[1:]] - seg_cum[qbounds[:-1]])
-              >= frac * max(1, n_flat))
+              >= _FULLSCAN_FRAC * max(1, n_flat))
     # one global gather over the pairs of gather-path queries only
     pair_scan = np.repeat(scan_q, qcounts)
     pr_g, seg_g = pr[~pair_scan], seg_lens[~pair_scan]
@@ -523,14 +393,8 @@ class ExactVerifier:
         self.with_counts = with_counts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import os as _os
-        import time as _t
-        _prof = _os.environ.get("HBI_QPROF")
-        _w0, _c0 = _t.perf_counter(), _t.process_time()
         from ..stages.window import doc_index
-        _fetch = 0.0
         if self.cands is None:
-            _f0 = _t.perf_counter()
             src = self._cand_src
             key = (tuple(r.hex() for r in src) if isinstance(src, list)
                    else src.hex())
@@ -546,7 +410,6 @@ class ExactVerifier:
                     self.cands = ray.get(src)
                 _STRUCT_CACHE.clear()  # hold at most one struct set
                 _STRUCT_CACHE[key] = self.cands
-            _fetch = _t.perf_counter() - _f0
         di = doc_index(batch)
         srcs = np.asarray(batch["source"].to_pylist(), dtype=object)
         # 1) collect all candidate (row, query) pairs of this batch
@@ -583,23 +446,9 @@ class ExactVerifier:
             return empty()
         pair_rows = np.concatenate(pr_parts)
         pair_qis = np.concatenate(pq_parts)
-        _wp = _t.perf_counter()
         flat, offsets = flat_tokens_and_offsets(batch["tokens"])
-        _wf = _t.perf_counter()
         out_rows, out_qis, out_cnts = _match_pairs(
             flat, offsets, pair_rows, pair_qis, self.q_tokens)
-        if _prof:
-            with open(f"/tmp/qprof/{_os.getpid()}.jsonl", "a") as fh:
-                import json as _json
-                fh.write(_json.dumps({
-                    "wall": round(_t.perf_counter() - _w0, 4),
-                    "cpu": round(_t.process_time() - _c0, 4),
-                    "fetch": round(_fetch, 4),
-                    "t_pairs": round(_wp - _w0 - _fetch, 4),
-                    "t_flat": round(_wf - _wp, 4),
-                    "t_match": round(_t.perf_counter() - _wf, 4),
-                    "rows": batch.num_rows, "pairs": len(pair_rows),
-                }) + "\n")
         if not len(out_rows):
             return empty()
         cols = {
@@ -965,17 +814,13 @@ def _verify_distributed(cand_mat: "rd.Dataset", sequences_ds: "rd.Dataset",
 
 def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
                      queries: list[tuple[str, list[int]]], cfg: HbiConfig,
-                     *, probe_concurrency=None, conf: float | None = None,
-                     planner: str | None = None, strides: bool = False,
-                     sources: list[str] | None = None,
+                     *, sources: list[str] | None = None,
                      window_range: tuple[int, int] | None = None,
                      per_query_scope: list[tuple] | None = None,
                      super_dir: str | None = None,
                      candidate_mode: str = "auto",
                      broadcast_limit: int = 16_000_000,
-                     markov_model=None,
                      with_counts: bool = False,
-                     probe_distinct: bool = False,
                      sequences_meta: list[dict] | None = None,
                      stats: dict | None = None):
     """Shared front of the membership query: compile -> async super
@@ -1018,7 +863,7 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
     """
     import pyarrow.compute as pc
 
-    compiled = compile_queries(queries, cfg, strides=strides)
+    compiled = compile_queries(queries, cfg)
     # async descend: dispatched to the coordinator actor; the driver
     # proceeds to schedule the probe pipeline and every consumer resolves
     # the ref lazily on its worker (VERDICT r2 #1: no driver-serial
@@ -1046,23 +891,15 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
         index_ds = index_ds.map_batches(_SuperGate(sprune_ref),
                                         batch_format="pyarrow")
         allowed_struct = sprune_ref  # BloomProbe resolves lazily too
-    cols = ["source", "window_id", "bloom_tree"]
-    if conf is not None or planner is not None:
-        cols += ["cms", "n_tokens"]
     # plain callable INSTANCES -> elastic task pool (no actor-pool startup
     # cost; compiled queries ride along in the serialized closure).
     # batch_size=None: batches follow the read's block layout, which lets
     # Ray FUSE ReadParquet->gate->Project->BloomProbe into one task — the
     # bloom blobs (the index's dominant bytes) never round-trip through
     # the object store between read and probe
-    cand_ds = index_ds.select_columns(cols).map_batches(
-        BloomProbe(cfg, compiled, conf=conf, planner=planner,
-                   allowed_ref=allowed_struct,
-                   probe_distinct=probe_distinct,
-                   markov_model=(markov_model.to_bytes()
-                                 if markov_model is not None
-                                 and not isinstance(markov_model, bytes)
-                                 else markov_model)),
+    cand_ds = index_ds.select_columns(
+        ["source", "window_id", "bloom_tree"]).map_batches(
+        BloomProbe(cfg, compiled, allowed_ref=allowed_struct),
         batch_format="pyarrow")
 
     if per_query_scope is not None:

@@ -623,7 +623,13 @@ def pq_fit(ds: "rd.Dataset", *, m: int = 4, k: int = 16,
     sum/count combiner over (subspace, cluster) keys, then one tiny
     groupby — only the (m, k, d/m) codebook tensor moves between
     driver and workers). Deterministic seeded init, empty clusters
-    re-seeded from the same chain. Returns ``(m, k, d//m)``."""
+    re-seeded from the same chain. Returns ``(m, k, d//m)``.
+
+    ``k`` is capped at 256: codes are stored as uint8, so a larger
+    codebook would wrap silently."""
+    if not 1 <= k <= 256:
+        raise ValueError(f"k={k} out of range: PQ codes are uint8 "
+                         "(1 <= k <= 256)")
     first = ds.take_batch(2, batch_format="pyarrow")
     d = _matrix(first[vec_col]).shape[1]
     if d % m:
@@ -710,7 +716,7 @@ def build_ann_index_pq(ds: "rd.Dataset", out_dir: str, *, m: int = 4,
     """Persist a product-quantized store: codebooks (fit distributed)
     plus (id, codes) parquet — d*8 bytes/vector compressed to m bytes.
     At 100 TB this is the memory-resident scan path: the ADC query
-    never touches the raw vectors."""
+    never touches the raw vectors. ``k > 256`` raises (see ``pq_fit``)."""
     import json
     from pathlib import Path
 

@@ -197,25 +197,6 @@ def heavy_hitters(ds: "rd.Dataset", cfg: HbiConfig, k: int = 20, *,
     return out.reset_index(drop=True)
 
 
-def build_ngram_model(ds: "rd.Dataset", cfg: HbiConfig, *,
-                      symbols: np.ndarray | None = None,
-                      n_symbols: int = 256):
-    """Distributed first-order Markov model of the token stream
-    (``PMIndex/NgramModel.java`` Builder/Model). The symbol set is capped:
-    given explicitly, or the corpus top-``n_symbols`` heavy hitters (one
-    extra single-pass TopM aggregate) — out-of-set symbols contribute
-    nothing, mirroring the reference's sigma cap. Returns a live
-    ``state.NgramModel``."""
-    from ..stages.aggregate import NgramModelAgg
-    from ..state import NgramModel
-
-    if symbols is None:
-        hh = heavy_hitters(ds, cfg, k=n_symbols)
-        symbols = hh["token"].to_numpy().view(np.uint64)
-    agg = ds.aggregate(NgramModelAgg(symbols, on="tokens"))
-    return sketch_from_bytes(agg["ngram_model"])
-
-
 def ntok_quantiles(ds: "rd.Dataset", cfg: HbiConfig,
                    qs=(0.05, 0.25, 0.5, 0.75, 0.95, 0.99)) -> pd.DataFrame:
     """n_tok distribution quantiles from the merged KLL + t-digest."""

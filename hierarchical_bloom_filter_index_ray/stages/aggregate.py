@@ -101,30 +101,3 @@ def BloomAgg(seed: int, n: int, fp: float = 0.01, on: str = "tokens",
              alias_name: str = "bloom") -> SketchAgg:
     return SketchAgg(lambda: BloomFilter(n, fp, derive_seed(seed, "agg_bf")),
                      on, alias_name, cast=np.uint64)
-
-
-def NgramModelAgg(symbols, on: str = "tokens",
-                  alias_name: str = "ngram_model") -> AggregateFn:
-    """First-order Markov model as a native aggregation: per-block bigram
-    counts over a fixed symbol set, merged by matrix addition (the
-    ``PMIndex/NgramModel.Builder`` stream observation, distributed).
-    Unlike SketchAgg this needs the LIST STRUCTURE (bigrams must not cross
-    doc boundaries), so it accumulates (flat, offsets) per block."""
-    import numpy as np
-
-    from ..state import NgramModel
-
-    syms = np.asarray(symbols).astype(np.uint64, copy=False)
-
-    def accumulate_block(acc, block):
-        flat, offsets = flat_tokens_and_offsets(block[on])
-        acc.update(flat, offsets)
-        return acc
-
-    return AggregateFn(
-        init=lambda k: NgramModel(syms),
-        accumulate_block=accumulate_block,
-        merge=lambda a, b: a.merge(b),
-        name=alias_name,
-        finalize=lambda a: a.to_bytes(),
-    )

@@ -163,11 +163,9 @@ class PartialSketchBuilder:
                     sk.update(toks)  # distinct RAW tokens per window
                 elif kind in ("cms", "hops", "bottomk"):
                     # frequency estimator + samplers count NGRAM KEYS, the
-                    # same key space the query planner estimates — the
-                    # reference's per-tree estimator is fed each inserted
-                    # ngram (``PMIndex/HBI.java:215-267``,
-                    # ``search/MostFreqPruning.java:45-50`` estimates
-                    # ``pattern.nGramToLong``)
+                    # key space the memory policy reads — the reference's
+                    # per-tree estimator is fed each inserted ngram
+                    # (``PMIndex/HBI.java:215-267``)
                     sk.update(ngs)
                 elif kind in ("kll_ntok", "tdigest_ntok"):
                     sk.update(n_tok[rows_g].astype(np.float64))

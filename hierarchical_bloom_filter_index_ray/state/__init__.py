@@ -15,7 +15,6 @@ from .hops import HOPS
 from .kll import KLL
 from .minhash import (hamming64, lsh_bands, minhash_jaccard,
                       minhash_signatures, simhash64)
-from .ngram_model import NgramModel
 from .splitmix import derive_seed, hash_str_u64, hash_u64, splitmix64
 from .tdigest import TDigest
 from .topm import TopM
@@ -23,7 +22,7 @@ from .topm import TopM
 __all__ = [
     "BloomFilter", "bloom_dimensions", "BottomK", "CountMinSketch",
     "CountSketch", "IntCountSketch", "cms_dimensions", "HyperLogLog", "HOPS", "KLL", "TDigest",
-    "TopM", "NgramModel",
+    "TopM",
     "register_sketch", "sketch_class", "sketch_from_bytes",
     "minhash_signatures", "lsh_bands", "simhash64", "hamming64",
     "minhash_jaccard", "derive_seed", "hash_u64", "hash_str_u64", "splitmix64",

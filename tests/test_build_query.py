@@ -114,7 +114,7 @@ class TestBuild:
             assert abs(h.estimate() - true) / max(true, 1) < 4 * h.rel_error
 
     def test_cms_heavy_hitter_bound(self, index_dir, seq_table):
-        """The window CMS counts NGRAM KEYS (the planner's key space, like
+        """The window CMS counts NGRAM KEYS (the probe-key space, like
         the reference tree estimator fed per inserted ngram)."""
         from hierarchical_bloom_filter_index_ray.functions.tokenize import \
             ngram_keys

@@ -5,11 +5,10 @@ empty/short rows, overlapping occurrences, and candidate sets that
 deliberately exclude a matching row (the full-scan path must re-apply
 the candidate filter; reference semantics ``PMIndex/HBI.java`` report).
 Pure numpy — no Ray session needed."""
-import os
-
 import numpy as np
 import pytest
 
+from hierarchical_bloom_filter_index_ray.pipelines import query_index
 from hierarchical_bloom_filter_index_ray.pipelines.query_index import \
     _match_pairs
 
@@ -56,7 +55,7 @@ def _sorted(r, q, c):
 
 @pytest.mark.parametrize("frac", ["0.0", "1e18", "0.5"])
 def test_match_pairs_agrees_with_brute_force(frac, monkeypatch):
-    monkeypatch.setenv("HBI_FULLSCAN_FRAC", frac)
+    monkeypatch.setattr(query_index, "_FULLSCAN_FRAC", float(frac))
     rng = np.random.default_rng(0)
     for _ in range(25):
         flat, offsets, pr, pq, q_tokens = _rand_case(rng)
@@ -68,7 +67,7 @@ def test_match_pairs_agrees_with_brute_force(frac, monkeypatch):
 def test_fullscan_respects_candidate_exclusion(monkeypatch):
     # row 0 matches the query but is NOT a candidate pair: the full-scan
     # path must drop it (upstream scope filters depend on this)
-    monkeypatch.setenv("HBI_FULLSCAN_FRAC", "0.0")
+    monkeypatch.setattr(query_index, "_FULLSCAN_FRAC", 0.0)
     flat = np.array([7, 8, 9, 7, 8, 9], dtype=np.int32)
     offsets = np.array([0, 3, 6], dtype=np.int64)
     q_tokens = [np.array([7, 8], dtype=np.int32)]
@@ -81,7 +80,7 @@ def test_fullscan_respects_candidate_exclusion(monkeypatch):
 def test_fullscan_no_cross_row_phantom_match(monkeypatch):
     # pattern spans the boundary of rows 0|1 in the flat array: the
     # tail-kill scatter must suppress it in the full-scan path too
-    monkeypatch.setenv("HBI_FULLSCAN_FRAC", "0.0")
+    monkeypatch.setattr(query_index, "_FULLSCAN_FRAC", 0.0)
     flat = np.array([1, 2, 3, 4], dtype=np.int32)
     offsets = np.array([0, 2, 4], dtype=np.int64)
     q_tokens = [np.array([2, 3], dtype=np.int32)]

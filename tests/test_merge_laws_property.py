@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hierarchical_bloom_filter_index_ray.state import (
     HOPS, BloomFilter, BottomK, CountMinSketch, HyperLogLog,
-    IntCountSketch, NgramModel)
+    IntCountSketch)
 
 SEED = 99
 
@@ -65,32 +65,3 @@ def test_update_in_pieces_equals_single_update(stream):
         for i in range(0, len(keys), 7):
             inc.update(keys[i:i + 7])
         assert inc.to_bytes() == ref.to_bytes(), name
-
-
-@settings(max_examples=25, deadline=None)
-@given(stream=st.lists(st.integers(0, 15), min_size=0, max_size=300),
-       cut_points=cuts, rnd=perms)
-def test_ngram_model_partition_invariance(stream, cut_points, rnd):
-    """Doc-partitioned NgramModel builds merge to the single-stream model
-    when cuts fall on doc boundaries (bigram counts add; the doc list
-    structure is what partitions carry)."""
-    keys = np.array(stream, dtype=np.uint64)
-    bounds = sorted({min(c, len(keys)) for c in cut_points} | {0, len(keys)})
-    # treat each chunk as one DOC in both builds (bigrams never cross)
-    chunks = [keys[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    syms = np.arange(16, dtype=np.uint64)
-    ref = NgramModel(syms)
-    flat = np.concatenate(chunks) if chunks else np.empty(0, np.uint64)
-    offs = np.array([0] + list(np.cumsum([len(c) for c in chunks])),
-                    dtype=np.int64)
-    ref.update(flat, offs)
-    order = list(range(len(chunks)))
-    rnd.shuffle(order)
-    acc = NgramModel(syms)
-    for i in order:
-        part = NgramModel(syms)
-        part.update(chunks[i], np.array([0, len(chunks[i])]))
-        acc.merge(part)
-    assert np.array_equal(acc.uni, ref.uni)
-    assert np.array_equal(acc.bi, ref.bi)
-    assert acc.total == ref.total

@@ -1,5 +1,6 @@
-"""n-gram index configs, strided probing, scoped queries, and adversarial
-corpora (FIXTURES.md F2) — membership stays exact in every mode."""
+"""n-gram index configs, repeated-key probing, scoped queries, and
+adversarial corpora (FIXTURES.md F2) — membership stays exact in every
+mode."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ import pytest
 from hierarchical_bloom_filter_index_ray import HbiConfig
 from hierarchical_bloom_filter_index_ray.functions import (
     flat_tokens_and_offsets)
-from hierarchical_bloom_filter_index_ray.pipelines import (build_index,
-                                                           load_index,
-                                                           membership_query)
+from hierarchical_bloom_filter_index_ray.pipelines import (
+    BloomProbe, build_index, compile_queries, linear_scan_membership,
+    load_index, membership_query)
 from hierarchical_bloom_filter_index_ray.sources import (synth_adversarial,
                                                          synth_sequences)
 
@@ -26,6 +27,21 @@ def oracle_hits(rows, pattern):
             if (sw == q).all(axis=1).any():
                 hits.append(row["doc_id"])
     return sorted(hits)
+
+
+def probe_keys(out, cfg, queries):
+    """(bloom keys probed, per-query probe key counts) of one
+    ``BloomProbe`` pass over every row of the index at ``out``."""
+    import pyarrow.parquet as pq
+
+    from hierarchical_bloom_filter_index_ray.pipelines.build_index import \
+        PARTITIONS
+    index = pq.read_table(f"{out}/{PARTITIONS}")
+    index = index.set_column(index.column_names.index("source"), "source",
+                             index["source"].cast("string"))
+    probe = BloomProbe(cfg, compile_queries(queries, cfg))
+    probe(index)
+    return probe.probe_key_count, probe.q_lens.tolist()
 
 
 class TestNgramIndex:
@@ -51,15 +67,24 @@ class TestNgramIndex:
         for qid, pat in pats:
             assert got.get(qid, []) == oracle_hits(rows, pat), qid
 
-    def test_strided_probe_same_results(self, built):
+    def test_repeated_ngram_keys_probed_once(self, built):
+        """The probe tests each node with a pattern's DISTINCT trigram
+        keys: ``[a]*5`` probes exactly like ``[a]*3`` (one key) and
+        ``[a, b]*3`` like ``[a, b, a, b]`` (keys aba, bab) — and the
+        verified answers stay exact."""
         cfg, ds, out, rows = built
-        idx = load_index(out)
-        pats = [(f"p{i}", [int(t) for t in rows[i]["tokens"][:6]])
-                for i in (1, 11)]
-        plain = membership_query(idx, ds, pats, cfg).to_pandas()
-        strided = membership_query(idx, ds, pats, cfg,
-                                   strides=True).to_pandas()
-        assert plain.equals(strided)
+        toks = [int(t) for t in rows[1]["tokens"]]
+        a = toks[0]
+        b = next(t for t in toks if t != a)
+        pats = [("run", [a] * 5), ("alt", [a, b] * 3)]
+        res = membership_query(load_index(out), ds, pats, cfg).to_pandas()
+        got = {q: sorted(g["doc_id"]) for q, g in res.groupby("query_id")}
+        for qid, pat in pats:
+            assert got.get(qid, []) == oracle_hits(rows, pat), qid
+        keys, lens = probe_keys(out, cfg, pats)
+        assert lens == [1, 2]
+        assert (keys, lens) == probe_keys(
+            out, cfg, [("run", [a] * 3), ("alt", [a, b, a, b])])
 
     def test_query_shorter_than_ngram_raises(self, built):
         cfg, ds, out, rows = built
@@ -133,6 +158,21 @@ class TestAdversarial:
         res = membership_query(idx, ds, [("q", pat)], cfg).to_pandas()
         assert sorted(res["doc_id"]) == oracle_hits(rows, pat)
         assert len(res) >= 1
+        # repeated-token patterns (every one is a <= k-gram, so each
+        # occurs in the cycle): exact against the index-free linear scan,
+        # and probed with their distinct keys only — the same bloom keys
+        # as the deduplicated pattern
+        reps = [("t3", [2, 2, 2]), ("ab2", [0, 1, 0, 1]),
+                ("t6", [3] * 6), ("ab3", [1, 2] * 3)]
+        got = membership_query(idx, ds, reps, cfg).to_pandas()
+        lin = linear_scan_membership(ds, reps).to_pandas()
+        assert got.reset_index(drop=True).equals(lin.reset_index(drop=True))
+        assert set(got["query_id"]) == {q for q, _ in reps}
+        keys, lens = probe_keys(str(tmp_path / "db"), cfg, reps)
+        assert lens == [1, 2, 1, 2]
+        assert (keys, lens) == probe_keys(
+            str(tmp_path / "db"), cfg,
+            [("t3", [2]), ("ab2", [0, 1]), ("t6", [3]), ("ab3", [1, 2])])
 
     def test_blocks_membership_exact(self, ray_session, tmp_path):
         cfg = HbiConfig(seed=32, docs_per_window=16, fp=0.01, hll_p=12,

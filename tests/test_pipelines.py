@@ -1667,6 +1667,19 @@ class TestPqIndex:
             nid = int(g["neighbor_id"].iloc[0])
             assert idx[nid] == qi
 
+    def test_k_outside_uint8_codes_rejected(self, ray_session, tmp_path):
+        # codes are uint8: k = 257 would silently wrap codes 256.. to 0..
+        from hierarchical_bloom_filter_index_ray.pipelines.similarity \
+            import build_ann_index_pq, pq_fit
+        ds = rd.from_items([{"vec_id": i, "embedding": [float(i), 1.0]}
+                            for i in range(8)])
+        for k in (0, 257):
+            with pytest.raises(ValueError, match="uint8"):
+                pq_fit(ds, m=1, k=k)
+            with pytest.raises(ValueError, match="uint8"):
+                build_ann_index_pq(ds, str(tmp_path / "pq"), m=1, k=k)
+        assert not (tmp_path / "pq").exists()
+
 
 class TestDecontaminate:
     """Benchmark decontamination: exact window-overlap flags with zero
@@ -1727,6 +1740,38 @@ class TestDecontaminate:
                             sequences_table(SF, seed=42), [""],
                             window=8)
         assert out.num_rows == 0
+
+    def test_default_stride_finds_unaligned_span(self, ray_session,
+                                                 tmp_path):
+        """The only span shared with the corpus starts at offset 3 of the
+        benchmark text: stride = window never probes it, the default
+        stride 1 does."""
+        from hierarchical_bloom_filter_index_ray import HbiConfig
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            build_index
+        from hierarchical_bloom_filter_index_ray.pipelines.decontam \
+            import benchmark_windows, decontaminate
+        from hierarchical_bloom_filter_index_ray.pipelines.text import \
+            sequences_table
+        docs = pq.read_table(f"{SF}/documents.parquet")
+        words = docs["text"].to_pylist()[7].split()
+        assert len(words) >= 13
+        bench = " ".join([f"zz{i}qqx" for i in range(3)] + words[5:13]
+                         + [f"zz{i}qqy" for i in range(5)])
+        assert [q[0] for q in benchmark_windows([bench], seed=42)] == \
+            [f"0\x00{s}" for s in range(16 - 8 + 1)]
+        cfg = HbiConfig(seed=42, docs_per_window=64, fp=0.01, ngram=1)
+        build_index(sequences_table(SF, seed=42), cfg,
+                    str(tmp_path / "idx"))
+        found = decontaminate(str(tmp_path / "idx"),
+                              sequences_table(SF, seed=42), [bench],
+                              window=8).to_pandas()
+        assert docs["doc_id"].to_pylist()[7] in set(found["doc_id"])
+        assert (found["windows_matched"] == 1).all()
+        aligned = decontaminate(str(tmp_path / "idx"),
+                                sequences_table(SF, seed=42), [bench],
+                                window=8, stride=8)
+        assert aligned.num_rows == 0
 
 
 class TestSampleMixture:

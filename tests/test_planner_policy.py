@@ -1,11 +1,10 @@
-"""Planner (seed-level, confidence solver), memory policy, and
+"""Level-choice math (pruning level, memory policy, HOPS design) and
 SketchAgg aggregate-adapter tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 import ray.data as rd
 
@@ -14,7 +13,7 @@ from hierarchical_bloom_filter_index_ray.pipelines import (build_index,
                                                            load_index,
                                                            membership_query)
 from hierarchical_bloom_filter_index_ray.pipelines.planner import (
-    f_prod, memory_policy_level, pruning_level_bloom, solve_b_bisection)
+    memory_policy_level, pruning_level_bloom)
 from hierarchical_bloom_filter_index_ray.sources import synth_sequences
 from hierarchical_bloom_filter_index_ray.stages.aggregate import (
     CmsAgg, HllAgg, KllQuantileAgg, KmvDistinctAgg, TDigestQuantileAgg)
@@ -32,52 +31,6 @@ class TestPruningMath:
 
     def test_conf_below_beta_goes_deepest(self):
         assert pruning_level_bloom(128, 8, 0.005, 0.1, 0.01) == 8
-
-    def test_solver_satisfies_target(self):
-        p = np.array([0.12, 0.033, 0.004, 0.44, 0.003, 0.014])
-        a = 0.99
-        b = solve_b_bisection(p, a)
-        assert abs(f_prod(b, p) - a) < 1e-6
-        assert f_prod(b * 0.5, p) < a < f_prod(b * 2, p)
-
-    def test_solver_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            solve_b_bisection([0.5], 1.5)
-        with pytest.raises(ValueError):
-            solve_b_bisection([0.0, 0.5], 0.9)
-
-
-CFG = HbiConfig(seed=11, docs_per_window=64, fp=0.01, hll_p=12,
-                cms_eps=0.02, cms_delta=0.05)
-
-
-class TestPlannerQueries:
-    def test_planner_results_equal_unplanned(self, ray_session, tmp_path):
-        ds = synth_sequences(512, seed=3, n_sources=2, vocab=512)
-        build_index(ds, CFG, str(tmp_path / "idx"), batch_size=128)
-        idx = load_index(str(tmp_path / "idx"))
-        rows = ds.take(4)
-        queries = [(f"q{i}", [int(t) for t in r["tokens"][:2]])
-                   for i, r in enumerate(rows)]
-        queries.append(("miss", [2**30 + 5]))
-        plain = membership_query(idx, ds, queries, CFG).to_pandas()
-        planned = membership_query(idx, ds, queries, CFG,
-                                   conf=0.95).to_pandas()
-        cost = membership_query(idx, ds, queries, CFG,
-                                planner="cost").to_pandas()
-        assert plain.equals(planned)
-        assert plain.equals(cost)
-        assert len(plain) > 0
-
-    def test_cost_minimizer_prefers_deep_for_frequent(self):
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import \
-            minimize_level_cost
-        lp_freq, _ = minimize_level_cost([0.3, 0.4], 8, 4096, 0.01,
-                                         pattern_len=2)
-        lp_rare, _ = minimize_level_cost([1e-5, 1e-5], 8, 4096, 0.01,
-                                         pattern_len=2)
-        assert lp_freq > lp_rare
-        assert lp_rare == 0
 
 
 class TestMemoryPolicy:
@@ -250,296 +203,3 @@ class TestHopsDesign:
             hi = truth[min(len(truth) - 1,
                            int(np.ceil(min(1.0, q + e) * len(truth))) - 1)]
             assert lo <= est <= hi
-
-
-class TestMultiLevelAndSolvers:
-    def test_solver_variants_agree(self):
-        import numpy as np
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import \
-            SOLVERS
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            p = rng.uniform(1e-6, 0.5, size=rng.integers(1, 6))
-            a = float(rng.uniform(0.05, 0.99))
-            ref = SOLVERS["bisection"](p, a)
-            for name in ("brent", "halley", "hybrid"):
-                assert abs(SOLVERS[name](p, a) - ref) < 1e-4 * max(ref, 1.0)
-
-    def test_vectorized_levels_match_scalar(self):
-        import numpy as np
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import (
-            pruning_level_bloom, pruning_levels_bloom_vec)
-        rng = np.random.default_rng(5)
-        probs = np.concatenate([[0.0, 1e-12, 0.999],
-                                rng.uniform(1e-9, 0.9, 50)])
-        vec = pruning_levels_bloom_vec(64.0, 10, 0.9, probs, 0.01)
-        scal = [pruning_level_bloom(64.0, 10, 0.9, float(x), 0.01)
-                for x in probs]
-        assert vec.tolist() == scal
-
-    def test_multilevel_results_invariant_and_fewer_probes(
-            self, ray_session, tmp_path):
-        """Per-token MultiLevelPruning: identical verified results, fewer
-        bloom key probes than root-seeded probing (the reference's
-        default-adjacent planner, search/MultiLevelPruning.java:23-32)."""
-        import numpy as np
-        import pyarrow.parquet as pq
-
-        from hierarchical_bloom_filter_index_ray.pipelines import (
-            BloomProbe, compile_queries)
-        from hierarchical_bloom_filter_index_ray.pipelines.build_index import \
-            PARTITIONS
-
-        ds = synth_sequences(2048, seed=9, n_sources=2, vocab=4096)
-        build_index(ds, CFG, str(tmp_path / "idx"), batch_size=256)
-        idx = load_index(str(tmp_path / "idx"))
-        rows = ds.take(4)
-        # mixed frequency patterns: first tokens (frequent under zipf) and
-        # a rare high-id token
-        queries = [(f"q{i}", [int(t) for t in r["tokens"][:3]])
-                   for i, r in enumerate(rows)]
-        queries.append(("miss", [2**30 + 5, 2**30 + 6]))
-        plain = membership_query(idx, ds, queries, CFG).to_pandas()
-        multi = membership_query(load_index(str(tmp_path / "idx")), ds,
-                                 queries, CFG,
-                                 planner="multilevel").to_pandas()
-        assert plain.equals(multi)
-        assert len(plain) > 0
-
-        # probe-count instrumentation: drive the probe stage directly
-        batch = pq.read_table(str(tmp_path / "idx" / PARTITIONS))
-        batch = batch.set_column(
-            batch.column_names.index("source"),
-            "source", batch["source"].cast("string"))
-        compiled = compile_queries(queries, CFG)
-        base_probe = BloomProbe(CFG, compiled)
-        base_probe(batch)
-        ml_probe = BloomProbe(CFG, compiled, conf=0.95,
-                              planner="multilevel")
-        ml_probe(batch)
-        assert ml_probe.probe_key_count < base_probe.probe_key_count
-
-
-class TestProbeDistinct:
-    def test_distinct_probe_invariant_and_fewer_probes(
-            self, ray_session, tmp_path):
-        """BlockSearchCharSet variant (search/BlockSearchCharSet.java):
-        probing only the DISTINCT pattern keys per node returns identical
-        verified results with strictly fewer bloom key probes for
-        repeated-token patterns."""
-        import pyarrow.parquet as pq
-
-        from hierarchical_bloom_filter_index_ray.pipelines import (
-            BloomProbe, compile_queries)
-        from hierarchical_bloom_filter_index_ray.pipelines.build_index import \
-            PARTITIONS
-
-        ds = synth_sequences(1024, seed=21, n_sources=2, vocab=256)
-        build_index(ds, CFG, str(tmp_path / "idx"), batch_size=256)
-        idx = load_index(str(tmp_path / "idx"))
-        rows = ds.take(4)
-        # patterns with heavy internal repetition (tokens repeated 3x)
-        queries = [(f"q{i}", [int(t) for t in list(r["tokens"][:2]) * 3])
-                   for i, r in enumerate(rows)]
-        queries.append(("miss", [2**30 + 5] * 4))
-        plain = membership_query(idx, ds, queries, CFG).to_pandas()
-        dedup = membership_query(load_index(str(tmp_path / "idx")), ds,
-                                 queries, CFG,
-                                 probe_distinct=True).to_pandas()
-        assert plain.equals(dedup)
-        assert len(plain) > 0
-
-        batch = pq.read_table(str(tmp_path / "idx" / PARTITIONS))
-        batch = batch.set_column(
-            batch.column_names.index("source"),
-            "source", batch["source"].cast("string"))
-        compiled = compile_queries(queries, CFG)
-        base_probe = BloomProbe(CFG, compiled)
-        base_probe(batch)
-        d_probe = BloomProbe(CFG, compiled, probe_distinct=True)
-        d_probe(batch)
-        assert d_probe.probe_key_count < base_probe.probe_key_count
-
-
-class TestIECostFamily:
-    """Full inclusion-exclusion cost model (CostFunctionIE /
-    MathUtils.HF_* re-derivation) + SetConf / IE planner seams."""
-
-    def test_ie_prefix_matches_multinomial_monte_carlo(self):
-        """Under the collapsed occupancy model (each slot holds one symbol
-        drawn from a fixed law), P(all m keys appear in a bL-slot block)
-        with beta=0 should match the IE formula."""
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import \
-            ie_prefix_pass_prob
-        rng = np.random.default_rng(3)
-        p = np.array([0.05, 0.08, 0.03])
-        b_l = 32
-        exact = ie_prefix_pass_prob(p, 3, b_l, 0.0)
-        # monte carlo: slots draw symbol 0,1,2 with probs p, else "other"
-        n = 60_000
-        draws = rng.choice(4, size=(n, b_l), p=[*p, 1 - p.sum()])
-        present = np.stack([(draws == k).any(axis=1) for k in range(3)])
-        mc = present.all(axis=0).mean()
-        assert abs(exact - mc) < 0.01
-
-    def test_ie_truncation_orders_bracket_exact(self):
-        """Odd truncation orders under-, even orders over-estimate (or
-        equal) the full IE series (Bonferroni)."""
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import \
-            ie_prefix_pass_prob
-        p = np.array([0.02, 0.05, 0.01, 0.04])
-        full = ie_prefix_pass_prob(p, 4, 64, 0.01)
-        lo = ie_prefix_pass_prob(p, 4, 64, 0.01, max_order=1)
-        hi = ie_prefix_pass_prob(p, 4, 64, 0.01, max_order=2)
-        assert lo <= full <= hi
-
-    def test_selective_fanout_multiplier(self):
-        """Parity with ``estimators/SelectiveFanout.java:27-60``."""
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import (
-            fanout_cost_efficiency, selective_fanout_multiplier)
-        # disabled regime: always two children
-        assert selective_fanout_multiplier(5, 0, 8, 0.9, 0.9,
-                                           enabled=False) == 2.0
-        # bounds: score 0 -> 1.0, score 1 -> 2.0
-        assert selective_fanout_multiplier(0, 0, 8, 0.0, 0.0) == 1.0
-        assert selective_fanout_multiplier(8, 0, 8, 1.0, 1.0) == 2.0
-        # exact weighted formula at an interior point
-        got = selective_fanout_multiplier(2, 0, 8, 0.5, 0.25)
-        assert abs(got - (1.0 + (0.4 * 0.25 + 0.4 * 0.5 + 0.2 * 0.25))
-                   ) < 1e-12
-        # degenerate window (descLimit <= startLevel): depth term 0
-        assert selective_fanout_multiplier(5, 3, 3, 0.0, 0.0) == 1.0
-        # cost-efficiency score edge cases (Java :50-60)
-        assert fanout_cost_efficiency(1.0, 0.0) == 0.0
-        assert fanout_cost_efficiency(0.0, 2.0) == 1.0
-        assert fanout_cost_efficiency(1.0, 4.0) == 0.25
-        assert fanout_cost_efficiency(8.0, 2.0) == 1.0  # clamped
-
-    def test_selective_regime_cost_and_clamp(self):
-        """Selective regime never expands MORE than fanout-2 (multiplier
-        <= 2), and the minimizer clamps the chosen level to
-        ``pruningLevel(0.99, p_min)`` (``LevelCostMinimizer.java:50-53``)."""
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import (
-            cost_at_level_ie, minimize_level_cost_ie, pruning_level_bloom)
-        keys = np.arange(3, dtype=np.uint64)
-        probs = np.array([0.3, 0.4, 0.35])
-        for lp in range(0, 6):
-            base = cost_at_level_ie(keys, probs, lp, 4096, 8, betas=0.01)
-            sel = cost_at_level_ie(keys, probs, lp, 4096, 8, betas=0.01,
-                                   selective=True)
-            assert sel <= base + 1e-9
-        lp_sel, _ = minimize_level_cost_ie(
-            keys, probs, 4096, 8, betas=0.01, selective=True,
-            base_interval_tokens=16.0)
-        clamp = pruning_level_bloom(16.0, 8, 0.99, float(probs.min()), 0.0)
-        assert lp_sel <= clamp
-
-    def test_cost_minimizer_ie_prefers_deep_for_frequent(self):
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import \
-            minimize_level_cost_ie
-        keys = np.arange(3, dtype=np.uint64)
-        lp_freq, _ = minimize_level_cost_ie(
-            keys, np.array([0.3, 0.4, 0.35]), 4096, 8, betas=0.01)
-        lp_rare, _ = minimize_level_cost_ie(
-            keys, np.array([1e-5, 1e-5, 1e-5]), 4096, 8, betas=0.01)
-        assert lp_freq > lp_rare
-        assert lp_rare == 0
-
-    def test_ie_and_setconf_planners_results_invariant(self, ray_session,
-                                                       tmp_path):
-        ds = synth_sequences(512, seed=3, n_sources=2, vocab=512)
-        build_index(ds, CFG, str(tmp_path / "idx"), batch_size=128)
-        idx = load_index(str(tmp_path / "idx"))
-        rows = ds.take(3)
-        queries = [(f"q{i}", [int(t) for t in r["tokens"][:2]])
-                   for i, r in enumerate(rows)]
-        queries.append(("miss", [2**30 + 5]))
-        plain = membership_query(idx, ds, queries, CFG).to_pandas()
-        for mode, kw in (("ie", {}), ("ie_selective", {}),
-                         ("setconf", {"conf": 0.9})):
-            got = membership_query(load_index(str(tmp_path / "idx")), ds,
-                                   queries, CFG, planner=mode,
-                                   **kw).to_pandas()
-            assert plain.equals(got), mode
-        assert len(plain) > 0
-
-
-class TestNgramModelAndMarkovPlanner:
-    """NgramModel (PMIndex/NgramModel.java) + CostFunctionMarkov seam."""
-
-    def test_model_counts_match_exact(self, ray_session):
-        from hierarchical_bloom_filter_index_ray.pipelines import \
-            build_ngram_model
-        from hierarchical_bloom_filter_index_ray.sources import (
-            markov_model, markov_sequences)
-        ds = markov_sequences(512, seed=5, sigma=8, order=1, doc_len=64)
-        model = build_ngram_model(ds, CFG,
-                                  symbols=np.arange(8, dtype=np.uint64))
-        rows = ds.take_all()
-        # exact unigram/bigram counts
-        uni = np.zeros(8, np.int64)
-        bi = np.zeros((8, 8), np.int64)
-        for r in rows:
-            t = np.asarray(r["tokens"])
-            np.add.at(uni, t, 1)
-            np.add.at(bi, (t[:-1], t[1:]), 1)
-        assert np.array_equal(model.uni, uni)
-        assert np.array_equal(model.bi, bi)
-        assert model.total == int(uni.sum())
-        # learned conditionals track the generating chain
-        _, trans = markov_model(5, 8, 1)
-        learned = model.bi / np.maximum(model.uni[:, None], 1)
-        assert np.abs(learned - trans).max() < 0.05
-
-    def test_model_merge_and_serde(self):
-        from hierarchical_bloom_filter_index_ray.state import (
-            NgramModel, sketch_from_bytes)
-        rng = np.random.default_rng(2)
-        toks = rng.integers(0, 16, 500).astype(np.uint64)
-        offs = np.array([0, 200, 500])
-        full = NgramModel(np.arange(16, dtype=np.uint64))
-        full.update(toks, offs)
-        a = NgramModel(np.arange(16, dtype=np.uint64))
-        a.update(toks[:200], np.array([0, 200]))
-        b = NgramModel(np.arange(16, dtype=np.uint64))
-        b.update(toks[200:], np.array([0, 300]))
-        a.merge(b)
-        assert np.array_equal(a.uni, full.uni)
-        assert np.array_equal(a.bi, full.bi)
-        rt = sketch_from_bytes(full.to_bytes())
-        assert np.array_equal(rt.bi, full.bi) and rt.total == full.total
-
-    def test_markov_planner_results_invariant_and_ordering(
-            self, ray_session, tmp_path):
-        from hierarchical_bloom_filter_index_ray.pipelines import \
-            build_ngram_model
-        from hierarchical_bloom_filter_index_ray.pipelines.planner import \
-            MarkovPlanner
-        from hierarchical_bloom_filter_index_ray.sources import \
-            markov_sequences
-        ds = markov_sequences(512, seed=5, sigma=8, order=1, doc_len=64)
-        build_index(ds, CFG, str(tmp_path / "mk"), batch_size=128)
-        model = build_ngram_model(ds, CFG,
-                                  symbols=np.arange(8, dtype=np.uint64))
-        rows = ds.take(3)
-        queries = [(f"q{i}", [int(t) for t in r["tokens"][:3]])
-                   for i, r in enumerate(rows)]
-        queries.append(("unseen", [999, 998]))  # outside the symbol set
-        idx = load_index(str(tmp_path / "mk"))
-        plain = membership_query(idx, ds, queries, CFG).to_pandas()
-        mk = membership_query(load_index(str(tmp_path / "mk")), ds,
-                              queries, CFG, planner="markov",
-                              markov_model=model).to_pandas()
-        assert plain.equals(mk)
-        assert len(plain) > 0
-        # frequent-chain pattern seeds deeper than an improbable chain
-        pl = MarkovPlanner(model, 0.95, 0.01, 6)
-        probs = model.bi / np.maximum(model.uni[:, None], 1)
-        hi = int(np.argmax(model.uni))
-        hi2 = int(np.argmax(probs[hi]))
-        lo = int(np.argmin(model.uni))
-        lo2 = int(np.argmin(probs[lo] + (probs[lo] == 0)))
-        lp_freq = pl.plan_tokens(4096, np.array([hi, hi2]))
-        lp_rare = pl.plan_tokens(4096, np.array([lo, lo2]))
-        assert lp_freq >= lp_rare
-        assert pl.plan_tokens(4096, np.array([12345])) == 0  # unseen

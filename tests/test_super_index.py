@@ -400,18 +400,6 @@ class TestSuperCombinedModes:
                                       candidate_mode="distributed")
         assert base.equals(dist)
 
-    def test_multilevel_planner_with_super_gating(self, index_dir, corpus,
-                                                  sample_tokens):
-        queries = [(f"q{i}", toks) for i, toks in enumerate(sample_tokens)]
-        queries.append(("missing", [2**30 + 5, 2**30 + 6]))
-        base = membership_query(load_index(index_dir),
-                                rd.read_parquet(corpus), queries, CFG)
-        combo = membership_query(load_index(index_dir),
-                                 rd.read_parquet(corpus), queries, CFG,
-                                 planner="multilevel", super_dir=index_dir)
-        assert base.num_rows > 0
-        assert base.equals(combo)
-
 
 class TestRound4FloorCuts:
     """Round-4 query-path floor work: the sharded descend merge and the

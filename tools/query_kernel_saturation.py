@@ -26,8 +26,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 def make_workload(seed: int = 0):
     """Bench-shaped verify call: ~122k candidate pairs over an 8192-row
-    half-file batch (the sf0.1x4 scaling corpus measures 122k
-    pairs/call via HBI_QPROF), with the pair mass Zipf-skewed across
+    half-file batch (the sf0.1x4 scaling corpus measured 122k
+    pairs/call), with the pair mass Zipf-skewed across
     the present queries exactly as a Zipf corpus skews real bloom
     candidates — the top few queries cross the kernel's full-scan
     threshold, the tail takes the gather path, so the probe exercises
