@@ -661,11 +661,10 @@ def h264_remux_mp4(payload: bytes, *, timescale: int = 30,
             if cur_vcl:
                 flush()
             cur.append(raw)
-    flush()
-    if cur:                             # trailing non-VCL NALs: append
-        samples[-1:] = [samples[-1] + b"".join(
-            struct.pack(">I", len(n)) + n for n in cur)] \
-            if samples else []
+    if cur_vcl:
+        flush()
+    elif cur and samples:               # trailing non-VCL NALs: append
+        samples[-1] += b"".join(struct.pack(">I", len(n)) + n for n in cur)
     if not samples:
         raise ValueError("Annex B stream carries no coded pictures")
     sps = parse_sps(sps_list[0] if sps_list else b"")

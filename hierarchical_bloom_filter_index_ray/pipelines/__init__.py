@@ -5,7 +5,6 @@ from .dedup import (exact_dedup, exact_dedup_ids, minhash_dedup,
                     simhash_pairs)
 from .query_index import BloomProbe, ExactVerifier, compile_queries, \
     membership_query, membership_query_ds, membership_query_table, \
-    prune_sequence_files, \
     window_aligned_layout
 from .decontam import benchmark_windows, decontaminate
 from .similarity import (build_ann_index, build_ann_index_kmeans,
@@ -28,7 +27,7 @@ __all__ = [
     "expire_windows",
     "membership_query", "membership_query_ds",
     "membership_query_table", "compile_queries", "BloomProbe",
-    "ExactVerifier", "prune_sequence_files", "window_aligned_layout",
+    "ExactVerifier", "window_aligned_layout",
     "exact_dedup", "exact_dedup_ids", "minhash_dedup", "minhash_lsh_pairs",
     "simhash_pairs",
     "ngram_jaccard", "ngram_jaccard_join", "knn_bruteforce", "knn_lsh",

@@ -82,7 +82,7 @@ def decontaminate(index_dir: str, sequences_ds, texts: list[str], *,
     exact (zero false positives; the bloom tree only prunes work).
 
     ``query_kwargs`` pass through to ``membership_query`` (sources /
-    window_range scoping, candidate_mode, sequences_meta, ...)."""
+    window_range scoping, super_dir, sequences_meta, ...)."""
     from .build_index import load_index
     from .query_index import membership_query
     cfg = cfg or _index_cfg(index_dir)

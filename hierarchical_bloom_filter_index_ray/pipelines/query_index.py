@@ -42,6 +42,10 @@ from ..state.splitmix import derive_seed, hash_u64, splitmix64
 # cover at least this share of a batch's flat token array is matched by
 # one sequential sweep over the whole array instead of a segment gather
 _FULLSCAN_FRAC = 0.5
+# candidate exchange threshold: up to this many candidate pairs (~400 MB
+# of compact structs) are broadcast exactly; past it, candidate keys
+# aggregate into one fixed-size bloom that gates the verify stage
+_BROADCAST_LIMIT = 16_000_000
 
 
 def compile_queries(queries: list[tuple[str, list[int]]], cfg: HbiConfig
@@ -107,18 +111,15 @@ class BloomProbe:
     the node test is an AND over set membership, so duplicate keys add
     nothing (the reference's ``search/BlockSearchCharSet.java``)."""
 
-    def __init__(self, cfg: HbiConfig, queries_ref, allowed_ref=None):
+    def __init__(self, cfg: HbiConfig, queries_ref, prune_ref=None):
         self.cfg = cfg
-        # super-level gate: {source: (win_sorted, offsets, qi_flat)} — a
-        # window only probes the queries that survived the cross-window
-        # descend down to it (pipelines/super_index.py). An ObjectRef here
-        # (the ASYNC descend running on the coordinator actor) is resolved
-        # lazily on the worker at first batch, so constructing this probe
-        # on the driver never blocks on the descend.
-        self._allowed_src = allowed_ref
-        self._allowed_ready = (allowed_ref is None
-                               or isinstance(allowed_ref, dict))
-        self.allowed = allowed_ref if self._allowed_ready else None
+        # super-level descend result (pipelines/super_index.py), or an
+        # ObjectRef to it: the ASYNC descend running on the coordinator
+        # actor is resolved lazily on the worker, so constructing this
+        # probe on the driver never blocks on the descend
+        lazy = isinstance(prune_ref, ray.ObjectRef)
+        self._prune_ref = prune_ref if lazy else None
+        self.prune = None if lazy else prune_ref
         qs = ray.get(queries_ref) if not isinstance(queries_ref, list) \
             else queries_ref
         self.queries = qs
@@ -161,43 +162,44 @@ class BloomProbe:
             cur_qi = np.tile(cur_qi, 2)
         return cur_iv, cur_qi
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self._allowed_ready:
-            # NON-blocking: apply the cross-window gate only once the
-            # async descend has finished — earlier batches probe with
-            # the full query list (same exact results, downstream
-            # verify is exact either way), so the probe pipeline never
-            # stalls behind the coordinator
-            ready, _ = ray.wait([self._allowed_src], timeout=0)
+    def _descend(self):
+        """The descend result once it has landed, else None. NON-blocking:
+        batches probed before the async descend finishes use every query
+        (same exact results — verify is exact either way), so the probe
+        pipeline never stalls behind the coordinator."""
+        if self._prune_ref is not None:
+            ready, _ = ray.wait([self._prune_ref], timeout=0)
             if ready:
-                obj = ray.get(self._allowed_src)
-                self.allowed = (obj.allowed if obj is not None
-                                and hasattr(obj, "allowed") else obj)
-                self._allowed_ready = True
+                self.prune = ray.get(self._prune_ref)
+                self._prune_ref = None
+        return self.prune
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
         out: list[tuple[str, int, np.ndarray, np.ndarray]] = []
-        all_q = np.arange(len(self.queries), dtype=np.int64)
-        if len(all_q):
+        if self.queries and batch.num_rows:
             sources = batch["source"].to_pylist()
             windows = batch["window_id"].to_pylist()
+            all_q = np.arange(len(self.queries), dtype=np.int64)
+            qsets = [all_q] * len(sources)
+            rows = range(len(sources))
+            res = self._descend()
+            if res is not None:
+                qsets = [res.queries_for(str(s), w)
+                         for s, w in zip(sources, windows)]
+                qsets = [all_q if q is None else q for q in qsets]
+                # keep-mask first: skipped rows' blobs are never read
+                rows = [i for i, q in enumerate(qsets) if len(q)]
+                if len(rows) < len(qsets):
+                    batch = batch.take(pa.array(rows, pa.int64()))
             blobs = batch["bloom_tree"].to_pylist()
-            for src, win, blob in zip(sources, windows, blobs):
+            for i, blob in zip(rows, blobs):
                 if blob is None:
                     continue
-                qis = all_q
-                if self.allowed is not None:
-                    struct = self.allowed.get(str(src))
-                    if struct is None:
-                        continue  # no query survived to this source
-                    wins_a, offs_a, qi_a = struct
-                    pos = np.searchsorted(wins_a, win)
-                    if pos >= len(wins_a) or wins_a[pos] != win:
-                        continue  # no query survived to this window
-                    qis = np.unique(qi_a[offs_a[pos]:offs_a[pos + 1]])
                 blooms = {int(lv): sketch_from_bytes(b)
                           for lv, b in pickle.loads(blob).items()}
-                slots, qi = self._sweep(blooms, qis)
+                slots, qi = self._sweep(blooms, qsets[i])
                 if len(slots):
-                    out.append((src, win, slots, qi))
+                    out.append((sources[i], windows[i], slots, qi))
         if not out:
             return pa.table({
                 "query_idx": pa.array([], pa.int32()),
@@ -553,55 +555,6 @@ class BloomGateVerifier:
         return pa.table(cols)
 
 
-class _SuperGate:
-    """Index-partition prefilter from the ASYNC super descend: keeps only
-    (source, window) rows some query survived to. Resolves the
-    coordinator actor's ``SuperPruneResult`` lazily on the WORKER (first
-    batch) so the driver schedules the probe pipeline without waiting for
-    the descend — reads and the descend overlap."""
-
-    def __init__(self, sprune_ref):
-        self._ref = sprune_ref
-        self._ready = False
-        self._union = None
-        self._covered = None
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if not self._ready:
-            # non-blocking (see BloomProbe): gate once the descend is
-            # done, pass rows through before that — pruning is an
-            # optimization, never a correctness requirement
-            done, _ = ray.wait([self._ref], timeout=0)
-            if not done:
-                return t
-            res = ray.get(self._ref)
-            # super_prune can return None (store absent / format or
-            # params mismatch re-checked in the actor, e.g. a concurrent
-            # expire_windows deleted out/super) — mirror BloomProbe and
-            # degrade to a pass-through gate instead of AttributeError
-            if res is not None:
-                self._union = res.window_union
-                self._covered = res.covered_sources
-            self._ready = True
-        if self._union is None or not t.num_rows:
-            return t
-        srcs = np.asarray(t["source"].to_pylist(), dtype=object)
-        wins = t["window_id"].to_numpy(zero_copy_only=False)
-        keep = np.zeros(len(srcs), dtype=bool)
-        for s in np.unique(srcs):
-            m = srcs == s
-            if str(s) not in self._covered:
-                keep[m] = True  # source unknown to the super store
-                continue
-            w = self._union.get(str(s))
-            if w is None or not len(w):
-                continue
-            pos = np.searchsorted(w, wins[m])
-            posc = np.minimum(pos, len(w) - 1)
-            keep[m] = w[posc] == wins[m]
-        return t.filter(pa.array(keep))
-
-
 @ray.remote
 def _split_block_parts(K: int, window_bits: int, block: pa.Table):
     """Stage 1 of the candidate exchange shuffle: split ONE candidate
@@ -661,43 +614,6 @@ def _merge_slice(window_bits: int, parts: list):
     wins = (np.unique(np.concatenate(wins_all)) if wins_all
             else np.empty(0, np.int64))
     return structs, wins
-
-
-def prune_sequence_files(sequences_meta: list[dict], cand_structs: dict,
-                         cfg: HbiConfig) -> list[str]:
-    """Files of a window-aligned corpus layout that can contain ANY
-    candidate doc: keep a file iff its [window_lo, window_hi) intersects
-    the union of candidate windows (vectorized interval check)."""
-    wins: set[int] = set()
-    for uniq_di, _, _ in cand_structs.values():
-        wins.update(np.unique(
-            np.asarray(uniq_di, dtype=np.int64)
-            >> cfg.window_bits).tolist())
-    return _prune_files_by_windows(
-        sequences_meta, np.array(sorted(wins), dtype=np.int64))
-
-
-def _wins_from_prune(res, manifest_sources: list[str],
-                     sources: list[str] | None) -> np.ndarray | None:
-    """Candidate-window superset derived from the super descend result,
-    mirroring ``_SuperGate`` exactly: a covered source contributes its
-    window union (empty = every query died there); an uncovered source
-    passes the gate unfiltered, so no file can be pruned — return None
-    and let the caller fall back to the exact candidate unions."""
-    if res is None:
-        return None
-    relevant = (manifest_sources if sources is None
-                else [s for s in manifest_sources if s in set(sources)])
-    parts: list[np.ndarray] = []
-    for s in relevant:
-        if s not in res.covered_sources:
-            return None
-        w = res.window_union.get(str(s))
-        if w is None or not len(w):
-            continue
-        parts.append(np.asarray(w, dtype=np.int64))
-    return (np.unique(np.concatenate(parts)) if parts
-            else np.empty(0, np.int64))
 
 
 def _prune_files_by_windows(sequences_meta: list[dict],
@@ -818,8 +734,6 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
                      window_range: tuple[int, int] | None = None,
                      per_query_scope: list[tuple] | None = None,
                      super_dir: str | None = None,
-                     candidate_mode: str = "auto",
-                     broadcast_limit: int = 16_000_000,
                      with_counts: bool = False,
                      sequences_meta: list[dict] | None = None,
                      stats: dict | None = None):
@@ -840,16 +754,21 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
 
     ``super_dir``: an index directory holding cross-window super levels
     (``pipelines/super_index.py``, the reference's across-trees pruning
-    ``PMIndex/HBI.java:207-266``): the super descend runs first, index
-    partitions outside any query's surviving windows are never read into
-    the probe, and each surviving window only probes the queries that
-    reached it — probe work drops from O(windows) to O(log windows) for
-    absent tokens.
+    ``PMIndex/HBI.java:207-266``): the super descend runs asynchronously
+    next to the probe; once its ``SuperPruneResult`` lands, each window
+    probes only the queries that reached it and windows no query reached
+    are skipped — probe work drops from O(windows) to O(log windows) for
+    absent tokens. A store that does not summarize the current manifest
+    prunes nothing.
 
     ``stats``: optional dict filled with probe telemetry
     (candidates, n_queries, super_probes, mode) for benchmarking —
     the Ray analogue of the reference's perf counters
     (``utilities/BenchmarkOrchestrator.java`` CSV columns).
+
+    The candidate exchange broadcasts exact per-source structs up to
+    ``_BROADCAST_LIMIT`` candidate pairs and gates the verify through one
+    fixed-size candidate bloom past it (``_verify_distributed``).
 
     ``sequences_meta``: optional window-aligned file layout of the
     sequences corpus — ``[{"path": ..., "window_lo": L, "window_hi": H}]``
@@ -886,20 +805,15 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
                 pc.greater_equal(t["window_id"], lo),
                 pc.less(t["window_id"], hi))),
             batch_format="pyarrow")
-    allowed_struct = None
-    if sprune_ref is not None:
-        index_ds = index_ds.map_batches(_SuperGate(sprune_ref),
-                                        batch_format="pyarrow")
-        allowed_struct = sprune_ref  # BloomProbe resolves lazily too
     # plain callable INSTANCES -> elastic task pool (no actor-pool startup
     # cost; compiled queries ride along in the serialized closure).
     # batch_size=None: batches follow the read's block layout, which lets
-    # Ray FUSE ReadParquet->gate->Project->BloomProbe into one task — the
+    # Ray FUSE ReadParquet->Project->BloomProbe into one task — the
     # bloom blobs (the index's dominant bytes) never round-trip through
     # the object store between read and probe
     cand_ds = index_ds.select_columns(
         ["source", "window_id", "bloom_tree"]).map_batches(
-        BloomProbe(cfg, compiled, allowed_ref=allowed_struct),
+        BloomProbe(cfg, compiled, prune_ref=sprune_ref),
         batch_format="pyarrow")
 
     if per_query_scope is not None:
@@ -940,9 +854,7 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
         if sprune_ref is not None:
             res = ray.get(sprune_ref)
             stats["super_probes"] = 0 if res is None else res.probes
-    mode = candidate_mode
-    if mode == "auto":
-        mode = "broadcast" if n_cand <= broadcast_limit else "distributed"
+    mode = "broadcast" if n_cand <= _BROADCAST_LIMIT else "distributed"
     if stats is not None:
         stats["mode"] = mode
     q_ref = ray.put(compiled)
@@ -963,23 +875,23 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
     # through the object store; the driver only ever fetches the tiny
     # per-slice candidate-window unions (for file pruning), and only when
     # file pruning is on.
-    # file-pruning windows: prefer the descend's window union — already
-    # a driver-resident superset of every candidate window (the gate
-    # filtered index rows to exactly those windows), so the exchange
-    # needs NO driver-side sync at all and the verify read schedules
-    # against lazy struct refs while the merge tasks are still running
-    # (round-4 scaling work: the exchange barrier was ~1 s of the
-    # per-batch serial floor)
+    # file-pruning windows: prefer the descend's windows — a superset of
+    # every true hit's window (no false negatives by Bloom construction),
+    # so the exchange needs NO driver-side sync at all and the verify
+    # read schedules against lazy struct refs while the merge tasks are
+    # still running (round-4 scaling work: the exchange barrier was ~1 s
+    # of the per-batch serial floor)
     cand_wins: np.ndarray | None = None
     if not n_cand:
         cand_wins = np.empty(0, np.int64)
-    elif sequences_meta is not None and sprune_ref is not None \
-            and super_dir is not None:
+    elif sequences_meta is not None and sprune_ref is not None:
         from .build_index import load_manifest
+        res = ray.get(sprune_ref)
         man = load_manifest(super_dir)
-        if man and man.get("sources"):
-            cand_wins = _wins_from_prune(ray.get(sprune_ref),
-                                         sorted(man["sources"]), sources)
+        if res is not None and man and man.get("sources"):
+            cand_wins = res.windows(
+                [s for s in man["sources"]
+                 if sources is None or s in sources])
     refs = cand_mat.to_arrow_refs()
     c_ref: list = []
     if n_cand and refs:
@@ -992,7 +904,7 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
             for k in range(K)]
         c_ref = [p[0] for p in pairs]
         if sequences_meta is not None and cand_wins is None:
-            # exact-union fallback (no super store / uncovered source):
+            # exact-union fallback (no usable store / uncovered source):
             # window unions drive file pruning only — without
             # sequences_meta, skip this driver sync entirely; the
             # verify stage resolves the structs lazily on its workers
@@ -1089,8 +1001,7 @@ def membership_query(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
 
     See ``_membership_hits`` for the full pipeline shape and the meaning
     of the keyword options (sources/window_range/per_query_scope scoping,
-    super_dir pruning, candidate_mode/broadcast_limit exchange control,
-    sequences_meta file pruning, stats telemetry)."""
+    super_dir pruning, sequences_meta file pruning, stats telemetry)."""
     import time as _time
 
     hits_ds, compiled = _membership_hits(

@@ -78,28 +78,15 @@ def _ref_bloom(cfg: HbiConfig):
 
 
 def _extract_roots(batch: pd.DataFrame, fanout: int) -> pd.DataFrame:
-    """Index rows -> level-0 node rows (source, node_id, bloom|None).
-
-    Prefers the dedicated ``root_bloom`` column (written by
-    ``stages/merge.py`` precisely so this scan reads ~1/levels of the
-    index); falls back to unpickling ``bloom_tree`` for older indexes."""
-    if "root_bloom" in batch.columns:
-        blobs = list(batch["root_bloom"])
-    else:
-        import pickle
-        blobs = []
-        for blob in batch["bloom_tree"]:
-            if blob is None:
-                blobs.append(None)
-                continue
-            tree = pickle.loads(blob)
-            blobs.append(tree.get(0))  # None when policy dropped level 0
+    """Index rows -> level-0 node rows (source, node_id, bloom|None), from
+    the dedicated ``root_bloom`` column (written by ``stages/merge.py``
+    precisely so this scan reads ~1/levels of the index)."""
     # super store protocol: RAW uint64 bloom words (no per-node blob
     # header/zlib — the descend decodes thousands of nodes; frombuffer is
     # free, zlib was the serial driver cost). Filter params (m, k, seed)
     # are reconstructed from the config at probe time.
-    blooms = [None if b is None else
-              sketch_from_bytes(b).words.tobytes() for b in blobs]
+    blooms = [None if b is None else sketch_from_bytes(b).words.tobytes()
+              for b in batch["root_bloom"]]
     return pd.DataFrame({
         "source": batch["source"].astype(str),
         "node_id": (batch["window_id"].to_numpy() // fanout).astype(np.int64),
@@ -169,8 +156,11 @@ def build_super_index(out_dir: str, cfg: HbiConfig, *,
     ``out_dir/super/level=H`` plus ``super_meta.json``; returns the meta
     dict.
     """
-    from .build_index import PARTITIONS
+    from .build_index import PARTITIONS, load_manifest
 
+    man = load_manifest(out_dir)
+    if man is None:
+        raise ValueError(f"no index manifest at {out_dir}")
     out = Path(out_dir)
     sup = out / SUPER_DIR
     if sup.exists():
@@ -178,30 +168,22 @@ def build_super_index(out_dir: str, cfg: HbiConfig, *,
         shutil.rmtree(sup)
     sup.mkdir(parents=True)
     F = cfg.super_fanout
-
-    # n_sources from the manifest (no discovery job); root blooms from the
-    # dedicated column (no full-tree deserialization)
-    manifest_p = out / "manifest.json"
-    if manifest_p.exists():
-        n_sources = len(json.loads(manifest_p.read_text()).get(
-            "completed_sources", [])) or 1
-    else:
-        ds0 = rd.read_parquet(str(out / PARTITIONS), columns=["source"])
-        n_sources = len(set(ds0.unique("source")))
+    n_sources = len(man.get("completed_sources", [])) or 1
     import pyarrow.parquet as pq
-    have_root = "root_bloom" in pq.read_schema(
-        next((out / PARTITIONS).rglob("*.parquet")).as_posix()).names
-    cols = (["source", "window_id", "root_bloom"] if have_root
-            else ["source", "window_id", "bloom_tree"])
+    cols = ["source", "window_id", "root_bloom"]
+    # manifest_built_unix: the manifest state this store summarizes —
+    # any later manifest write (append, expiry, a resume without super
+    # levels) makes the store stale, and a stale store prunes nothing
     meta: dict = {"format": STORE_FORMAT, "fanout": F, "levels": [],
-                  "params_hash": cfg.params_hash()}
+                  "params_hash": cfg.params_hash(),
+                  "manifest_built_unix": man["built_unix"]}
 
     # driver-local fast path for small stores: one pyarrow scan + in-proc
     # rollup beats several Ray jobs' fixed latency. The distributed rounds
     # below are the scale path (bounded F^8-children groups per round).
     root_bytes = sum(f.stat().st_size
                      for f in (out / PARTITIONS).rglob("*.parquet"))
-    if have_root and root_bytes <= local_bytes_limit:
+    if root_bytes <= local_bytes_limit:
         import pyarrow.dataset as pads
         tbl = pads.dataset(str(out / PARTITIONS), format="parquet",
                            partitioning="hive").to_table(columns=cols)
@@ -306,23 +288,55 @@ def load_super_meta(out_dir: str) -> dict | None:
 
 
 class SuperPruneResult:
-    """Per-query allowed windows after the super-level descend.
+    """Per-query allowed windows after the super-level descend — the one
+    owner of the pruning rule (which (window, query) pairs the probe
+    runs, which windows the verify may read).
 
-    - ``window_union``: {source: sorted np.int64 window ids} — filters
-      index partitions before the per-window tree probe. ``None`` in place
-      of an array means "all windows of this source" (no pruning info).
-    - ``allowed``: {source: (win_sorted, offsets, qi_flat)} — per-window
-      allowed query lists for the tree probe's seed levels.
+    - ``allowed``: {source: (win_sorted, offsets, qi_flat)} — the queries
+      that survived the descend down to each window.
+    - ``covered_sources``: sources the store summarizes. A source outside
+      it was never descended, so nothing about it may be pruned.
     - ``probes``: number of (node, query) bloom probes performed — the
       quantity the super levels exist to bound (asserted in tests).
     """
 
-    def __init__(self, window_union: dict, allowed: dict, probes: int,
+    def __init__(self, allowed: dict, probes: int,
                  covered_sources: set[str]):
-        self.window_union = window_union
         self.allowed = allowed
         self.probes = probes
         self.covered_sources = covered_sources
+
+    @property
+    def window_union(self) -> dict[str, np.ndarray]:
+        """{covered source: sorted window ids some query reached}."""
+        empty = np.empty(0, np.int64)
+        return {s: self.allowed[s][0] if s in self.allowed else empty
+                for s in self.covered_sources}
+
+    def queries_for(self, source: str, window: int) -> np.ndarray | None:
+        """Sorted query indices to probe in (source, window): None when
+        the store does not cover the source (probe every query), empty
+        when no query survived to the window (skip it)."""
+        if source not in self.covered_sources:
+            return None
+        if source not in self.allowed:
+            return np.empty(0, np.int64)
+        wins, offs, qi = self.allowed[source]
+        pos = int(np.searchsorted(wins, window))
+        if pos >= len(wins) or wins[pos] != window:
+            return np.empty(0, np.int64)
+        return np.unique(qi[offs[pos]:offs[pos + 1]])
+
+    def windows(self, sources) -> np.ndarray | None:
+        """Sorted union of the windows any query reached in ``sources`` —
+        a superset of every true hit's window. None when a source is not
+        covered: its windows were never descended, so none may be
+        pruned."""
+        if any(s not in self.covered_sources for s in sources):
+            return None
+        parts = [self.allowed[s][0] for s in sources if s in self.allowed]
+        return (np.unique(np.concatenate(parts)) if parts
+                else np.empty(0, np.int64))
 
 
 def _probe_rows(rows: pd.DataFrame, frontier: dict, probe_keys: list,
@@ -447,11 +461,33 @@ def _load_super_local(sup_path: str) -> dict[int, "_Level"]:
     return out
 
 
+def _usable_meta(out_dir: str, cfg: HbiConfig) -> dict | None:
+    """The super meta when the store at ``out_dir`` may prune queries
+    under ``cfg``; None when it must prune nothing: absent or empty,
+    another store layout (``STORE_FORMAT``), filters sized and seeded
+    under other params (probing them with this cfg's key family would
+    mis-index), or STALE — built from another manifest state than the
+    current one (a later append, expiry or resume without super levels
+    added windows the store has never seen; pruning by it would drop
+    true hits)."""
+    from .build_index import load_manifest
+    meta = load_super_meta(out_dir)
+    if (meta is None or not meta["levels"]
+            or meta.get("format") != STORE_FORMAT
+            or meta.get("params_hash") != cfg.params_hash()):
+        return None
+    man = load_manifest(out_dir)
+    if man is None or meta.get("manifest_built_unix") != man["built_unix"]:
+        return None
+    return meta
+
+
 def super_prune(out_dir: str, cfg: HbiConfig, compiled: list[dict], *,
                 sources: list[str] | None = None,
                 window_range: tuple[int, int] | None = None,
                 driver_cache_bytes: int = 1 << 30) -> SuperPruneResult | None:
-    """Descend the super levels for a compiled query batch.
+    """Descend the super levels for a compiled query batch; None when the
+    store cannot prune (``_usable_meta``).
 
     Small super stores (< ``driver_cache_bytes``) are read once and
     descended driver-locally (the upper tree is tiny relative to the index
@@ -460,19 +496,11 @@ def super_prune(out_dir: str, cfg: HbiConfig, compiled: list[dict], *,
     probe per level, so the frontier (true regions + FPR * nodes) is the
     only driver-resident state at any scale.
     """
-    meta = load_super_meta(out_dir)
-    if meta is None or not meta["levels"]:
-        return None
-    if meta.get("format") != STORE_FORMAT:
-        return None  # older store layout: skip pruning rather than misread
-    if meta.get("params_hash") not in (None, cfg.params_hash()):
-        # filters were sized/seeded under a different config; probing them
-        # with this cfg's key family would mis-index — skip pruning (the
-        # per-window probe still guards correctness via its own checks)
+    meta = _usable_meta(out_dir, cfg)
+    if meta is None:
         return None
     F = meta["fanout"]
     top = meta["levels"][-1]["level"]
-    n_q = len(compiled)
     sup_path = Path(out_dir) / SUPER_DIR
     total_bytes = sum(f.stat().st_size for f in sup_path.rglob("*.parquet"))
     local = total_bytes <= driver_cache_bytes
@@ -487,9 +515,8 @@ def super_prune(out_dir: str, cfg: HbiConfig, compiled: list[dict], *,
             sup_path, top, F, cfg, compiled,
             sources=sources, window_range=window_range)
 
-    union, allowed = _expand_allowed(f_src, f_node, f_qi, F,
-                                     window_range, covered)
-    return SuperPruneResult(union, allowed, probes, covered)
+    allowed = _expand_allowed(f_src, f_node, f_qi, F, window_range)
+    return SuperPruneResult(allowed, probes, covered)
 
 
 def _query_bit_positions(cfg: HbiConfig, compiled: list[dict]
@@ -647,15 +674,12 @@ def _descend_streaming(sup_path: Path, top: int, F: int, cfg: HbiConfig,
 
 
 def _expand_allowed(f_src: np.ndarray, f_node: np.ndarray,
-                    f_qi: np.ndarray, F: int, window_range,
-                    covered: set) -> tuple[dict, dict]:
+                    f_qi: np.ndarray, F: int, window_range) -> dict:
     """Level-1 survivor pairs -> per-source allowed-window structs
     (vectorized: one factorize + one lexsort, no per-pair Python)."""
-    union: dict[str, np.ndarray] = {s: np.empty(0, np.int64)
-                                    for s in covered}
     allowed: dict[str, tuple] = {}
     if not len(f_src):
-        return union, allowed
+        return allowed
     w = (f_node[:, None] * F + np.arange(F, dtype=np.int64)).ravel()
     s = np.repeat(f_src, F)
     q = np.repeat(f_qi, F)
@@ -663,7 +687,7 @@ def _expand_allowed(f_src: np.ndarray, f_node: np.ndarray,
         keep = (w >= window_range[0]) & (w < window_range[1])
         w, s, q = w[keep], s[keep], q[keep]
     if not len(w):
-        return union, allowed
+        return allowed
     uniq_src, codes = np.unique(s, return_inverse=True)
     order = np.lexsort((q, w, codes))
     codes, w, q = codes[order], w[order], q[order]
@@ -674,8 +698,7 @@ def _expand_allowed(f_src: np.ndarray, f_node: np.ndarray,
         wins, starts = np.unique(wi, return_index=True)
         offs = np.concatenate([starts, [len(wi)]]).astype(np.int64)
         allowed[str(src)] = (wins, offs, qi)
-        union[str(src)] = wins
-    return union, allowed
+    return allowed
 
 
 _COORD_NAME = "hbi_super_coordinator"
@@ -713,23 +736,17 @@ class _SuperCoordinator:
                            window_range=window_range)
 
     def warm(self, out_dir: str) -> bool:
-        sup = Path(out_dir) / SUPER_DIR
-        if sup.exists():
-            _load_super_local(str(sup))
-            # run one throwaway descend: the FIRST prune in a fresh
-            # actor pays ~1-2 s of import/setup (measured) that would
-            # otherwise land inside the first query's timed path
-            meta = load_super_meta(out_dir)
-            if meta is not None and meta["levels"] \
-                    and meta.get("format") == STORE_FORMAT:
-                from .build_index import load_manifest
-                from .query_index import compile_queries
-                man = load_manifest(out_dir)
-                if man is not None and man.get("config"):
-                    cfg = HbiConfig.from_json(man["config"])
-                    dummy = compile_queries(
-                        [("__warm", [1] * max(1, cfg.ngram))], cfg)
-                    super_prune(out_dir, cfg, dummy)
+        # run one throwaway descend: the FIRST prune in a fresh actor
+        # pays ~1-2 s of store open + import/setup (measured) that would
+        # otherwise land inside the first query's timed path
+        from .build_index import load_manifest
+        from .query_index import compile_queries
+        man = load_manifest(out_dir)
+        if man is not None and man.get("config"):
+            cfg = HbiConfig.from_json(man["config"])
+            dummy = compile_queries(
+                [("__warm", [1] * max(1, cfg.ngram))], cfg)
+            super_prune(out_dir, cfg, dummy)
         return True
 
 
@@ -737,22 +754,12 @@ def _merge_prune_results(offsets: list[int], parts: list
                          ) -> SuperPruneResult | None:
     """Merge per-shard descend results (shard s covers compiled queries
     [offsets[s], offsets[s] + len(shard))) into one batch-wide
-    ``SuperPruneResult``: window unions union per source, per-window
-    allowed query lists concatenate with the shard's query indices
-    remapped to batch positions."""
+    ``SuperPruneResult``: per-window allowed query lists concatenate
+    with the shard's query indices remapped to batch positions."""
     import ray
     parts = ray.get(list(parts))
     if any(p is None for p in parts):
         return None
-    union: dict = {}
-    per_src_w: dict[str, list] = {}
-    for p in parts:
-        for s, w in p.window_union.items():
-            per_src_w.setdefault(s, []).append(w)
-    for s, ws in per_src_w.items():
-        union[s] = (None if any(w is None for w in ws)
-                    else np.unique(np.concatenate(ws))
-                    if ws else np.empty(0, np.int64))
     per_src_a: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for off, p in zip(offsets, parts):
         for s, (wins, offs, qi) in p.allowed.items():
@@ -768,11 +775,8 @@ def _merge_prune_results(offsets: list[int], parts: list
         uw, starts = np.unique(w, return_index=True)
         offs = np.concatenate([starts, [len(w)]]).astype(np.int64)
         allowed[s] = (uw, offs, q)
-    covered = set()
-    for p in parts:
-        covered |= p.covered_sources
-    return SuperPruneResult(union, allowed,
-                            sum(p.probes for p in parts), covered)
+    covered = set().union(*(p.covered_sources for p in parts))
+    return SuperPruneResult(allowed, sum(p.probes for p in parts), covered)
 
 
 def _make_remote():
@@ -789,17 +793,11 @@ def super_prune_async(out_dir: str, cfg: HbiConfig, compiled: list[dict],
                       window_range: tuple[int, int] | None = None):
     """Dispatch the descend to the coordinator actor; returns an
     ``ObjectRef[SuperPruneResult]`` — or None when the store cannot prune
-    (absent / older format / params mismatch), checked driver-side from
-    the tiny meta file so the cheap no-op cases stay synchronous."""
-    global _SuperCoordinatorImpl
-    meta = load_super_meta(out_dir)
-    if meta is None or not meta["levels"]:
+    (``_usable_meta``), checked driver-side from the tiny meta and
+    manifest files so the cheap no-op cases stay synchronous."""
+    global _SuperCoordinatorImpl, _MergePruneImpl
+    if _usable_meta(out_dir, cfg) is None:
         return None
-    if meta.get("format") != STORE_FORMAT:
-        return None
-    if meta.get("params_hash") not in (None, cfg.params_hash()):
-        return None
-    global _MergePruneImpl
     import ray
     if _SuperCoordinatorImpl is None:
         _SuperCoordinatorImpl = _make_remote()

@@ -209,13 +209,14 @@ class TestQuery:
         assert got.get("q_missing", []) == []
 
     def test_membership_query_ds_matches_table_path(self, index_dir,
-                                                    seq_table, ray_session):
+                                                    seq_table, ray_session,
+                                                    monkeypatch):
         """The Dataset-returning scale path (hits never collected on the
         driver) must agree row-for-row with the collected pa.Table path,
         for every sort mode, in both exchange modes, with and without
         per-position counts."""
         from hierarchical_bloom_filter_index_ray.pipelines import (
-            membership_query_ds)
+            membership_query_ds, query_index)
 
         flat, offsets = flat_tokens_and_offsets(seq_table["tokens"])
         t0 = int(flat[0])
@@ -224,15 +225,20 @@ class TestQuery:
         idx = load_index(index_dir)
         seqs = documents_as_sequences("/root/testdata/sf0.001",
                                       seed=CFG.seed)
+        limit = query_index._BROADCAST_LIMIT
         for with_counts in (False, True):
+            monkeypatch.setattr(query_index, "_BROADCAST_LIMIT", limit)
             want = membership_query(idx, seqs, queries, CFG,
                                     with_counts=with_counts).to_pandas()
             for mode, sort in (("broadcast", "block"), ("broadcast", None),
                                ("broadcast", "global"),
                                ("distributed", "block")):
+                # a zero broadcast limit forces the bloom-gate exchange
+                monkeypatch.setattr(query_index, "_BROADCAST_LIMIT",
+                                    limit if mode == "broadcast" else 0)
                 ds = membership_query_ds(idx, seqs, queries, CFG,
                                          with_counts=with_counts,
-                                         candidate_mode=mode, sort=sort)
+                                         sort=sort)
                 got = (ds.to_pandas()
                        .sort_values(["query_id", "doc_id"])
                        .reset_index(drop=True))

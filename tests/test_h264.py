@@ -488,12 +488,17 @@ class TestIpcmLane:
         idr_raw = ab[idr["data_off"]:idr["data_off"] + idr["size"]]
         non_idr = bytes([0x41]) + idr_raw[1:]   # type 1, same payload
         sei = bytes([0x06, 5, 1, 0xAA, 0x80])
+        tail_sei = bytes([0x06, 5, 1, 0xBB, 0x80])
         stream = (ab + b"\x00\x00\x00\x01" + sei
-                  + b"\x00\x00\x00\x01" + non_idr)
+                  + b"\x00\x00\x00\x01" + non_idr
+                  + b"\x00\x00\x00\x01" + tail_sei)
         m = h264.h264_remux_mp4(stream)
         info = h264.mp4_h264_info(m)
         assert info["n_samples"] == 3                # 2 IDR + 1 non-IDR
         assert info["n_keyframes"] == 2
+        # a trailing SEI rides on the last picture's sample
+        assert h264.mp4_h264_sample_annexb(m, 2).endswith(
+            b"\x00\x00\x00\x01" + tail_sei)
 
     def test_remux_no_pictures_rejected(self):
         nals = h264.split_nals(h264.encode_h264_ipcm(

@@ -142,33 +142,34 @@ class TestSuperQuery:
         assert base.equals(pruned)
 
     def test_distributed_candidate_exchange_matches_broadcast(
-            self, index_dir, corpus, sample_tokens):
-        """candidate_mode="distributed" (fixed-size bloom gate, no driver
-        candidate materialization) returns exactly the broadcast path's
-        results — including under global source/window scoping, where the
-        gate's false positives must be re-filtered exactly."""
+            self, index_dir, corpus, sample_tokens, monkeypatch):
+        """The distributed exchange (fixed-size bloom gate, no driver
+        candidate materialization; forced by a zero broadcast limit)
+        returns exactly the broadcast path's results — including under
+        global source/window scoping, where the gate's false positives
+        must be re-filtered exactly."""
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            query_index
         queries = [(f"q{i}", toks) for i, toks in enumerate(sample_tokens)]
         queries.append(("missing", [2**30 + 9, 2**30 + 10]))
         base = membership_query(load_index(index_dir),
-                                rd.read_parquet(corpus), queries, CFG,
-                                candidate_mode="broadcast")
-        dist = membership_query(load_index(index_dir),
-                                rd.read_parquet(corpus), queries, CFG,
-                                candidate_mode="distributed")
-        assert base.num_rows > 0
-        assert base.equals(dist)
+                                rd.read_parquet(corpus), queries, CFG)
         base_s = membership_query(load_index(index_dir),
                                   rd.read_parquet(corpus), queries, CFG,
-                                  sources=["src1"], window_range=(2, 20),
-                                  candidate_mode="broadcast")
+                                  sources=["src01"], window_range=(2, 20))
+        monkeypatch.setattr(query_index, "_BROADCAST_LIMIT", 0)
+        dist = membership_query(load_index(index_dir),
+                                rd.read_parquet(corpus), queries, CFG)
+        assert base.num_rows > 0
+        assert base.equals(dist)
         dist_s = membership_query(load_index(index_dir),
                                   rd.read_parquet(corpus), queries, CFG,
-                                  sources=["src1"], window_range=(2, 20),
-                                  candidate_mode="distributed")
+                                  sources=["src01"], window_range=(2, 20))
+        assert base_s.num_rows > 0
         assert base_s.equals(dist_s)
 
     def test_with_counts_exact_occurrences(self, index_dir, corpus,
-                                           sample_tokens):
+                                           sample_tokens, monkeypatch):
         """with_counts=True returns per-(query, doc) occurrence counts ==
         a numpy sliding-window oracle (overlapping starts each count),
         identical through the broadcast AND distributed verify paths."""
@@ -176,11 +177,13 @@ class TestSuperQuery:
         queries.append(("missing", [2**30 + 7, 2**30 + 8]))
         idx = load_index(index_dir)
         seqs = rd.read_parquet(corpus)
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            query_index
         got = membership_query(idx, seqs, queries, CFG,
                                with_counts=True).to_pandas()
+        monkeypatch.setattr(query_index, "_BROADCAST_LIMIT", 0)
         dist = membership_query(load_index(index_dir),
                                 rd.read_parquet(corpus), queries, CFG,
-                                candidate_mode="distributed",
                                 with_counts=True).to_pandas()
         pd.testing.assert_frame_equal(got, dist)
         raw = rd.read_parquet(corpus).to_pandas()
@@ -245,8 +248,10 @@ class TestSuperQuery:
         """sequences_meta: verify reads only candidate-window files.
         Results identical to the full scan; a one-window candidate set
         keeps exactly one file; missing-everywhere queries keep none."""
-        from hierarchical_bloom_filter_index_ray.pipelines import (
-            prune_sequence_files, window_aligned_layout)
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            window_aligned_layout
+        from hierarchical_bloom_filter_index_ray.pipelines.query_index \
+            import _prune_files_by_windows
         queries = [(f"q{i}", toks) for i, toks in enumerate(sample_tokens)]
         queries.append(("missing", [2**30 + 21, 2**30 + 22]))
         idx = load_index(index_dir)
@@ -262,31 +267,25 @@ class TestSuperQuery:
         assert base.num_rows > 0
         assert base.equals(pruned)
         # selectivity: candidates in window 0 only -> exactly file 0
-        bits = CFG.window_bits
-        cand = {"src0": (np.array([3], dtype=np.int64),  # window 0 doc
-                         np.array([0, 1], dtype=np.int64),
-                         np.array([0], dtype=np.int64))}
-        keep = prune_sequence_files(meta, cand, CFG)
-        assert keep == [meta[0]["path"]]
-        last_win = (meta[-1]["window_lo"]) << bits
-        cand2 = {"src0": (np.array([last_win], dtype=np.int64),
-                          np.array([0, 1], dtype=np.int64),
-                          np.array([0], dtype=np.int64))}
-        assert prune_sequence_files(meta, cand2, CFG) == \
+        assert _prune_files_by_windows(meta, np.array([0])) == \
+            [meta[0]["path"]]
+        last_win = meta[-1]["window_lo"]
+        assert _prune_files_by_windows(meta, np.array([last_win])) == \
             [meta[-1]["path"]]
-        assert prune_sequence_files(meta, {}, CFG) == []
+        assert _prune_files_by_windows(meta, np.empty(0, np.int64)) == []
 
     def test_scoped_query_with_super(self, index_dir, corpus,
                                      sample_tokens):
         queries = [("q0", sample_tokens[0])]
         idx = load_index(index_dir)
         seqs = rd.read_parquet(corpus)
-        base = membership_query(idx, seqs, queries, CFG, sources=["src0"],
+        base = membership_query(idx, seqs, queries, CFG, sources=["src00"],
                                 window_range=(0, 16))
         pruned = membership_query(load_index(index_dir),
                                   rd.read_parquet(corpus), queries, CFG,
-                                  sources=["src0"], window_range=(0, 16),
+                                  sources=["src00"], window_range=(0, 16),
                                   super_dir=index_dir)
+        assert base.num_rows > 0
         assert base.equals(pruned)
 
 
@@ -378,26 +377,26 @@ class TestSuperCombinedModes:
             assert np.array_equal(gq, qi)
 
     def test_per_query_scope_distributed_mode(self, index_dir, corpus,
-                                              sample_tokens):
+                                              sample_tokens, monkeypatch):
         """Per-query (source, window) scoping must survive the lossy bloom
         gate of the distributed candidate exchange (re-applied exactly on
         verified hits)."""
-        from hierarchical_bloom_filter_index_ray.pipelines import \
-            membership_query_table
+        from hierarchical_bloom_filter_index_ray.pipelines import (
+            membership_query_table, query_index)
         import pyarrow as pa
         qt = pa.table({
             "query_id": pa.array(["q0", "q1"]),
             "qtokens": pa.array([sample_tokens[0], sample_tokens[1]],
                                 pa.list_(pa.int32())),
-            "source": pa.array(["src0", None]),
+            "source": pa.array(["src00", None]),
             "window_id": pa.array([None, 3], pa.int64()),
         })
         base = membership_query_table(load_index(index_dir),
-                                      rd.read_parquet(corpus), qt, CFG,
-                                      candidate_mode="broadcast")
+                                      rd.read_parquet(corpus), qt, CFG)
+        monkeypatch.setattr(query_index, "_BROADCAST_LIMIT", 0)
         dist = membership_query_table(load_index(index_dir),
-                                      rd.read_parquet(corpus), qt, CFG,
-                                      candidate_mode="distributed")
+                                      rd.read_parquet(corpus), qt, CFG)
+        assert base.num_rows > 0
         assert base.equals(dist)
 
 
@@ -441,14 +440,12 @@ class TestRound4FloorCuts:
                 assert (set(q2[o2[k]:o2[k + 1]].tolist())
                         == set(qi[offs[k]:offs[k + 1]].tolist()))
 
-    def test_wins_from_prune_mirrors_gate(self, index_dir, sample_tokens):
-        """The descend-union pruning helper returns exactly the windows
-        the _SuperGate would pass — and refuses to prune (None) when a
-        relevant source is not covered by the store."""
-        import ray
-
-        from hierarchical_bloom_filter_index_ray.pipelines.query_index \
-            import _wins_from_prune
+    def test_prune_result_windows_and_queries_for(self, index_dir,
+                                                  sample_tokens):
+        """``SuperPruneResult`` owns the pruning rule: ``windows`` is the
+        union of the windows ``queries_for`` lets any query probe, and
+        both refuse to prune (None) for a source the store does not
+        cover."""
         from hierarchical_bloom_filter_index_ray.pipelines.super_index \
             import super_prune
         compiled = compile_queries(
@@ -457,16 +454,114 @@ class TestRound4FloorCuts:
         res = super_prune(index_dir, CFG, compiled)
         assert res is not None
         srcs = sorted(res.covered_sources)
-        wins = _wins_from_prune(res, srcs, None)
-        assert wins is not None
-        expect = np.unique(np.concatenate(
-            [res.window_union[s] for s in srcs
-             if res.window_union.get(s) is not None
-             and len(res.window_union[s])]))
-        np.testing.assert_array_equal(wins, expect)
+        wins = res.windows(srcs)
+        assert wins is not None and len(wins)
+        n_win = N_ROWS // N_SOURCES // CFG.docs_per_window
+        reached = set()
+        for s in srcs:
+            for w in range(n_win):
+                q = res.queries_for(s, w)
+                assert set(q.tolist()) <= {0, 1}
+                if len(q):
+                    reached.add(w)
+                assert (w in set(res.window_union[s].tolist())) == \
+                    bool(len(q))
+        np.testing.assert_array_equal(wins, sorted(reached))
         # an uncovered relevant source forbids pruning entirely
-        assert _wins_from_prune(res, srcs + ["not_in_store"], None) is None
+        assert res.windows(srcs + ["not_in_store"]) is None
+        assert res.queries_for("not_in_store", 0) is None
         # scoping to covered sources restores pruning
-        assert _wins_from_prune(res, srcs + ["not_in_store"],
-                                srcs) is not None
-        assert _wins_from_prune(None, srcs, None) is None
+        assert res.windows(srcs[:1]) is not None
+
+
+class TestPruneSafety:
+    """The super levels may only bound cost: a store that does not
+    summarize the queried index, or a source the descend never saw, must
+    never drop a true hit."""
+
+    def test_stale_store_prunes_nothing(self, ray_session, tmp_path):
+        """Windows 4-7 appended by a sharded resume WITHOUT super levels
+        (the CLI's --no-super) are unknown to the store built for windows
+        0-3. Queries whose documents sit in windows 4-7 must return the
+        same hits with ``super_dir`` as without."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        from pathlib import Path
+
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            window_aligned_layout
+        from hierarchical_bloom_filter_index_ray.stages.window import \
+            doc_index
+        rows_per_file = 256  # 128 docs/source/file = 2 whole windows
+        n_rows = 4 * rows_per_file  # 2 sources x 8 windows
+        corpus = tmp_path / "seqs"
+        synth_sequences(n_rows, seed=5, n_sources=N_SOURCES, vocab=200_000,
+                        len_min=8, len_max=64, override_num_blocks=4
+                        ).write_parquet(str(corpus),
+                                        min_rows_per_file=rows_per_file,
+                                        max_rows_per_file=rows_per_file)
+        meta = window_aligned_layout(str(corpus), rows_per_file,
+                                     rows_per_file // N_SOURCES, CFG)
+
+        def first_windows(t: pa.Table) -> pa.Table:
+            return t.filter(pa.array(doc_index(t) >> CFG.window_bits < 4))
+
+        out = tmp_path / "idx"
+        build_index(rd.read_parquet(str(corpus)).map_batches(
+            first_windows, batch_format="pyarrow"),
+            CFG, str(out), batch_size=512, shard_windows=2)
+        assert load_super_meta(str(out)) is not None
+        build_index(rd.read_parquet(str(corpus)), CFG, str(out),
+                    batch_size=512, shard_windows=2, super_levels=False)
+        tbl = pa.concat_tables(
+            pq.read_table(f) for f in sorted(Path(corpus).glob("*.parquet")))
+        late = np.nonzero(doc_index(tbl) >> CFG.window_bits >= 4)[0]
+        toks = tbl["tokens"].to_pylist()
+
+        def rare_span(t: list) -> list:
+            # the doc's 3-token span of highest-rank (rarest Zipf) tokens
+            p = max(range(len(t) - 2), key=lambda i: min(t[i:i + 3]))
+            return [int(x) for x in t[p:p + 3]]
+
+        queries = [(f"q{i}", rare_span(toks[r]))
+                   for i, r in enumerate(late[::len(late) // 20][:20])]
+        want = membership_query(load_index(str(out)),
+                                rd.read_parquet(str(corpus)), queries, CFG)
+        got = membership_query(load_index(str(out)),
+                               rd.read_parquet(str(corpus)), queries, CFG,
+                               super_dir=str(out), sequences_meta=meta)
+        assert set(want["query_id"].to_pylist()) == {q for q, _ in queries}
+        assert got.equals(want), (got.num_rows, want.num_rows)
+
+    def test_uncovered_source_probes_every_query(self, index_dir,
+                                                 sample_tokens):
+        """A descend result that covers only src00 gates src00's windows
+        and leaves src01's candidates exactly as an ungated probe finds
+        them."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import ray
+
+        from hierarchical_bloom_filter_index_ray.pipelines import BloomProbe
+        from hierarchical_bloom_filter_index_ray.pipelines.super_index \
+            import SuperPruneResult
+        queries = [(f"q{i}", toks) for i, toks in enumerate(sample_tokens)]
+        queries.append(("missing", [2**30 + 3, 2**30 + 4]))
+        compiled = compile_queries(queries, CFG)
+        res = super_prune(index_dir, CFG, compiled, sources=["src00"])
+        assert res.covered_sources == {"src00"}
+        idx = pa.concat_tables(ray.get(load_index(index_dir).select_columns(
+            ["source", "window_id", "bloom_tree"]).to_arrow_refs()))
+
+        def cands(t: pa.Table, src: str) -> set:
+            d = t.filter(pc.equal(t["source"], src)).to_pydict()
+            return set(zip(d["query_idx"], d["window_id"], d["slot"]))
+
+        plain = BloomProbe(CFG, compiled)(idx)
+        gated = BloomProbe(CFG, compiled, prune_ref=res)(idx)
+        assert cands(plain, "src01")
+        assert cands(gated, "src01") == cands(plain, "src01")
+        assert cands(gated, "src00") <= cands(plain, "src00")
+        # a descend no query survived: every row is skipped unread
+        dead = SuperPruneResult({}, 0, {"src00", "src01"})
+        assert BloomProbe(CFG, compiled, prune_ref=dead)(idx).num_rows == 0
