@@ -819,22 +819,9 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
     if per_query_scope is not None:
         # (source|None, window_id|None) per query: filter candidates the
         # scoped query may not see (FIXTURES.md F3 per-query scoping)
-        q_src = np.array([s if s is not None else "" for s, _ in
-                          per_query_scope], dtype=object)
-        q_win = np.array([w if w is not None else -1 for _, w in
-                          per_query_scope], dtype=np.int64)
-
-        def scope_filter(t: pa.Table) -> pa.Table:
-            if not t.num_rows:
-                return t
-            qi = t["query_idx"].to_numpy(zero_copy_only=False)
-            src = np.asarray(t["source"].to_pylist(), dtype=object)
-            win = t["window_id"].to_numpy(zero_copy_only=False)
-            ok = (((q_src[qi] == "") | (q_src[qi] == src))
-                  & ((q_win[qi] == -1) | (q_win[qi] == win)))
-            return t.filter(pa.array(ok))
-
-        cand_ds = cand_ds.map_batches(scope_filter, batch_format="pyarrow")
+        cand_ds = cand_ds.map_batches(
+            _scope_filter_fn(None, None, per_query_scope),
+            batch_format="pyarrow")
 
     # candidate exchange: broadcast the exact per-source structs while the
     # candidate count is sane (16M pairs ~ 400 MB of compact arrays built

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data as rd
 
 from ..config import HbiConfig
@@ -95,6 +97,7 @@ def _extract_roots(batch: pd.DataFrame, fanout: int) -> pd.DataFrame:
 
 
 SUBTREE_HEIGHT = 8  # levels built per groupby round (group = F^8 children)
+_LOCAL_BUILD_BYTES = 256 << 20  # index partitions built driver-locally
 
 
 def _build_subtree(g: pd.DataFrame, *, base_level: int, fanout: int,
@@ -142,8 +145,24 @@ def _build_subtree(g: pd.DataFrame, *, base_level: int, fanout: int,
     })
 
 
-def build_super_index(out_dir: str, cfg: HbiConfig, *,
-                      local_bytes_limit: int = 256 << 20) -> dict:
+def _cut_levels(meta: dict, stats: pd.DataFrame, last: int,
+                n_sources: int, cfg: HbiConfig) -> tuple[int, bool]:
+    """The level-cut rule: record the per-level ``stats`` (level, nodes,
+    mean_fill) in ``meta["levels"]`` in level order, up to the first
+    level that is saturated past ``super_fill_cap`` or down to one node
+    per source. Returns (highest level to keep, whether stacking stops
+    there); without a stop every level up to ``last`` is kept."""
+    for _, s in stats.sort_values("level").iterrows():
+        lv = int(s["level"])
+        meta["levels"].append({"level": lv, "nodes": int(s["nodes"]),
+                               "mean_fill": round(float(s["mean_fill"]),
+                                                  4)})
+        if s["mean_fill"] > cfg.super_fill_cap or s["nodes"] <= n_sources:
+            return lv, True
+    return last, False
+
+
+def build_super_index(out_dir: str, cfg: HbiConfig) -> dict:
     """Build the super-level store from a persisted index at ``out_dir``.
 
     Subtree-batched: ONE groupby round builds ``SUBTREE_HEIGHT`` levels
@@ -183,7 +202,7 @@ def build_super_index(out_dir: str, cfg: HbiConfig, *,
     # below are the scale path (bounded F^8-children groups per round).
     root_bytes = sum(f.stat().st_size
                      for f in (out / PARTITIONS).rglob("*.parquet"))
-    if root_bytes <= local_bytes_limit:
+    if root_bytes <= _LOCAL_BUILD_BYTES:
         import pyarrow.dataset as pads
         tbl = pads.dataset(str(out / PARTITIONS), format="parquet",
                            partitioning="hive").to_table(columns=cols)
@@ -198,20 +217,8 @@ def build_super_index(out_dir: str, cfg: HbiConfig, *,
             rows_df = pd.concat(frames, ignore_index=True)
             stats = (rows_df.groupby("level")
                      .agg(nodes=("node_id", "size"),
-                          mean_fill=("fill", "mean")).reset_index()
-                     .sort_values("level"))
-            stop_level = None
-            for _, s in stats.iterrows():
-                meta["levels"].append(
-                    {"level": int(s["level"]), "nodes": int(s["nodes"]),
-                     "mean_fill": round(float(s["mean_fill"]), 4)})
-                if (s["mean_fill"] > cfg.super_fill_cap
-                        or s["nodes"] <= n_sources):
-                    stop_level = int(s["level"])
-                    break
-            keep_to = stop_level if stop_level is not None else height
-            meta["levels"] = [lv for lv in meta["levels"]
-                              if lv["level"] <= keep_to]
+                          mean_fill=("fill", "mean")).reset_index())
+            keep_to, _ = _cut_levels(meta, stats, height, n_sources, cfg)
             for lv, g in rows_df[rows_df["level"] <= keep_to].groupby(
                     "level"):
                 d = sup / f"level={int(lv)}"
@@ -249,27 +256,16 @@ def build_super_index(out_dir: str, cfg: HbiConfig, *,
         stats = (rows.groupby("level")
                  .aggregate(Count(alias_name="nodes"),
                             Mean("fill", alias_name="mean_fill"))
-                 .to_pandas().sort_values("level"))
-        stop_level = None
-        for _, s in stats.iterrows():
-            meta["levels"].append({"level": int(s["level"]),
-                                   "nodes": int(s["nodes"]),
-                                   "mean_fill": round(float(s["mean_fill"]),
-                                                      4)})
-            if (s["mean_fill"] > cfg.super_fill_cap
-                    or s["nodes"] <= n_sources):
-                stop_level = int(s["level"])
-                break
-        keep_to = stop_level if stop_level is not None else base + height
-        meta["levels"] = [lv for lv in meta["levels"]
-                          if lv["level"] <= keep_to]
+                 .to_pandas())
+        keep_to, stopped = _cut_levels(meta, stats, base + height,
+                                       n_sources, cfg)
         import pyarrow.compute as pc
         (rows.map_batches(
             lambda t: t.filter(pc.less_equal(t["level"], keep_to)),
             batch_format="pyarrow")
          .drop_columns(["fill"])
          .write_parquet(str(sup), partition_cols=["level"], mode="append"))
-        if stop_level is not None:
+        if stopped:
             break
         top = base + height
         child = rows.map_batches(
@@ -339,55 +335,8 @@ class SuperPruneResult:
                 else np.empty(0, np.int64))
 
 
-def _probe_rows(rows: pd.DataFrame, frontier: dict, probe_keys: list,
-                n_probes: list, idx_cache: dict
-                ) -> list[tuple[str, int, int]]:
-    """Probe every (node, frontier-query) pair of one level in ONE
-    vectorized gather: all super blooms share (m, k, seed), so each
-    query's bloom bit positions are computed once (``idx_cache``) and the
-    level probe is a fancy-index into the stacked node word matrix plus a
-    per-pair reduceat — no per-pair Python or per-node deserialization
-    beyond the word-array decode."""
-    srcs = rows["source"].astype(str).tolist()
-    nodes = rows["node_id"].astype(int).tolist()
-    blobs = list(rows["bloom"])
-    out: list[tuple[str, int, int]] = []
-    mats: list[np.ndarray] = []
-    pair_mat: list[int] = []
-    pair_meta: list[tuple[str, int, int]] = []
-    for src, node, blob in zip(srcs, nodes, blobs):
-        qs = frontier.get((src, node))
-        if qs is None:
-            continue
-        if blob is None:        # always-pass node (dropped level-0 child)
-            out.extend((src, node, qi) for qi in qs)
-            continue
-        mi = len(mats)
-        mats.append(np.frombuffer(blob, dtype=np.uint64))
-        for qi in qs:
-            if qi not in idx_cache:
-                idx = idx_cache["ref"]._indices(probe_keys[qi])
-                idx_cache[qi] = ((idx >> np.uint64(6)).ravel(),
-                                 (idx & np.uint64(63)).ravel())
-            pair_mat.append(mi)
-            pair_meta.append((src, node, qi))
-    if not pair_meta:
-        return out
-    n_probes[0] += len(pair_meta)
-    words = np.stack(mats)
-    seg_lens = np.array([len(idx_cache[qi][0]) for _, _, qi in pair_meta],
-                        dtype=np.int64)
-    offs = np.concatenate([[0], np.cumsum(seg_lens)[:-1]])
-    rows_rep = np.repeat(np.array(pair_mat, dtype=np.int64), seg_lens)
-    widx = np.concatenate([idx_cache[qi][0] for _, _, qi in pair_meta])
-    bits = np.concatenate([idx_cache[qi][1] for _, _, qi in pair_meta])
-    vals = (words[rows_rep, widx.astype(np.int64)] >> bits) & np.uint64(1)
-    ok = np.logical_and.reduceat(vals.astype(bool), offs)
-    out.extend(meta for meta, good in zip(pair_meta, ok) if good)
-    return out
-
-
 _LOCAL_CACHE: dict[tuple, dict] = {}
+_CACHE_BYTES = 1 << 30  # super stores up to this size descend from the cache
 
 
 class _Level:
@@ -482,39 +431,48 @@ def _usable_meta(out_dir: str, cfg: HbiConfig) -> dict | None:
     return meta
 
 
+def _load_level(sup_path: str, lv: int, nodes: np.ndarray | None
+                ) -> "_Level":
+    """One super level for the uncached descend: a plain-pyarrow read of
+    ``level=lv`` with the frontier's node ids pushed down as a filter
+    (``nodes`` None reads the whole level)."""
+    import pyarrow.dataset as pads
+    filt = (None if nodes is None
+            else pads.field("node_id").isin(pa.array(nodes, pa.int64())))
+    return _Level(pads.dataset(f"{sup_path}/level={lv}", format="parquet")
+                  .to_table(filter=filt).to_pandas())
+
+
 def super_prune(out_dir: str, cfg: HbiConfig, compiled: list[dict], *,
                 sources: list[str] | None = None,
-                window_range: tuple[int, int] | None = None,
-                driver_cache_bytes: int = 1 << 30) -> SuperPruneResult | None:
+                window_range: tuple[int, int] | None = None
+                ) -> SuperPruneResult | None:
     """Descend the super levels for a compiled query batch; None when the
     store cannot prune (``_usable_meta``).
 
-    Small super stores (< ``driver_cache_bytes``) are read once and
-    descended driver-locally (the upper tree is tiny relative to the index
-    — a query coordinator would cache it); larger stores descend level by
-    level with predicate-pushdown parquet reads and a frontier-filtered
-    probe per level, so the frontier (true regions + FPR * nodes) is the
-    only driver-resident state at any scale.
+    One descend (``_descend``) over one of two level sources: a store up
+    to ``_CACHE_BYTES`` is read once into the probe-ready cache
+    (``_load_super_local`` — the upper tree is tiny relative to the
+    index, and the coordinator actor keeps it across batches); a larger
+    one is read level by level, each read filtered to the frontier's
+    nodes (``_load_level``), so the frontier (true regions + FPR * nodes)
+    is the only resident state at any scale.
     """
     meta = _usable_meta(out_dir, cfg)
     if meta is None:
         return None
     F = meta["fanout"]
-    top = meta["levels"][-1]["level"]
-    sup_path = Path(out_dir) / SUPER_DIR
-    total_bytes = sum(f.stat().st_size for f in sup_path.rglob("*.parquet"))
-    local = total_bytes <= driver_cache_bytes
-
-    if local:
-        levels = _load_super_local(str(sup_path))
-        f_src, f_node, f_qi, covered, probes = _descend_local(
-            levels, top, F, cfg, compiled,
-            sources=sources, window_range=window_range)
+    sup_path = str(Path(out_dir) / SUPER_DIR)
+    store_bytes = sum(f.stat().st_size
+                      for f in Path(sup_path).rglob("*.parquet"))
+    if store_bytes <= _CACHE_BYTES:
+        levels = _load_super_local(sup_path)
+        load = lambda lv, _nodes: levels[lv]  # noqa: E731
     else:
-        f_src, f_node, f_qi, covered, probes = _descend_streaming(
-            sup_path, top, F, cfg, compiled,
-            sources=sources, window_range=window_range)
-
+        load = partial(_load_level, sup_path)
+    f_src, f_node, f_qi, covered, probes = _descend(
+        load, meta["levels"][-1]["level"], F, cfg, compiled,
+        sources=sources, window_range=window_range)
     allowed = _expand_allowed(f_src, f_node, f_qi, F, window_range)
     return SuperPruneResult(allowed, probes, covered)
 
@@ -535,19 +493,18 @@ def _query_bit_positions(cfg: HbiConfig, compiled: list[dict]
     return widx, bbits
 
 
-def _descend_local(levels: dict[int, "_Level"], top: int, F: int,
-                   cfg: HbiConfig, compiled: list[dict], *,
-                   sources, window_range
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                              set, int]:
-    """Vectorized descend over probe-ready ``_Level`` structs: the
-    frontier is three parallel pair arrays (source, node, query); each
-    level costs one (source, node) -> row lookup plus ONE fancy-index
-    bit gather per distinct query — no per-pair Python, no per-descend
-    ``np.stack`` (the matrix was stacked once at store open)."""
+def _descend(load, top: int, F: int, cfg: HbiConfig,
+             compiled: list[dict], *, sources, window_range
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, set, int]:
+    """Vectorized descend over probe-ready ``_Level`` structs, where
+    ``load(level, nodes)`` returns a level holding at least the sorted
+    node ids ``nodes`` (None: the whole level). The frontier is three
+    parallel pair arrays (source, node, query); each level costs one
+    (source, node) -> row lookup plus ONE fancy-index bit gather per
+    distinct query — no per-pair Python."""
     widx, bbits = _query_bit_positions(cfg, compiled)
     n_q = len(compiled)
-    lvl_top = levels[top]
+    lvl_top = load(top, None)
     src_parts: list[np.ndarray] = []
     node_parts: list[np.ndarray] = []
     allowed_src = None if sources is None else set(sources)
@@ -577,7 +534,7 @@ def _descend_local(levels: dict[int, "_Level"], top: int, F: int,
     for lv in range(top, 0, -1):
         if not len(f_src):
             return (*empty, covered, probes)
-        L = levels[lv]
+        L = lvl_top if lv == top else load(lv, np.unique(f_node))
         rows = L.lookup(f_src, f_node)
         present = rows >= 0
         f_src, f_node, f_qi, rows = (f_src[present], f_node[present],
@@ -601,76 +558,6 @@ def _descend_local(levels: dict[int, "_Level"], top: int, F: int,
         f_node = (f_node[:, None] * F
                   + np.arange(F, dtype=np.int64)).ravel()
     return f_src, f_node, f_qi, covered, probes
-
-
-def _descend_streaming(sup_path: Path, top: int, F: int, cfg: HbiConfig,
-                       compiled: list[dict], *, sources, window_range
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  set, int]:
-    """Level-by-level descend for stores too big to cache: each level is
-    a predicate-pushdown parquet read filtered to the frontier's nodes,
-    so the frontier (true regions + FPR * nodes) is the only resident
-    state at any scale."""
-    n_q = len(compiled)
-    salt = _root_salt(cfg)
-    probe_keys = [np.asarray(q["ngram_keys"], dtype=np.uint64) ^ salt
-                  for q in compiled]
-
-    def load_level(lv: int, node_filter: set | None) -> pd.DataFrame:
-        ds = rd.read_parquet(str(sup_path / f"level={lv}"))
-        df = ds.to_pandas() if node_filter is None else None
-        if df is None:
-            nodes = pa.array(sorted({n for _, n in node_filter}),
-                             pa.int64())
-            import pyarrow.compute as pc
-            df = ds.map_batches(
-                lambda t: t.filter(pc.is_in(t["node_id"],
-                                            value_set=nodes)),
-                batch_format="pyarrow").to_pandas()
-        df["source"] = df["source"].astype(str)
-        if sources is not None:
-            df = df[df["source"].isin(set(sources))]
-        return df
-
-    top_df = load_level(top, None)
-    frontier: dict[tuple[str, int], list[int]] = {}
-    span = F ** top
-    for src, node in zip(top_df["source"], top_df["node_id"]):
-        lo, hi = int(node) * span, (int(node) + 1) * span
-        if window_range is not None and (lo >= window_range[1]
-                                         or hi <= window_range[0]):
-            continue
-        frontier[(str(src), int(node))] = list(range(n_q))
-    covered = set(top_df["source"].unique())
-    n_probes = [0]
-    idx_cache: dict = {"ref": _ref_bloom(cfg)}
-    win_allowed: list[tuple[str, int, int]] = []
-    for lv in range(top, 0, -1):
-        if not frontier:
-            break
-        rows = load_level(lv, set(frontier))
-        fkeys = pd.MultiIndex.from_tuples(frontier.keys())
-        rows = rows[pd.MultiIndex.from_arrays(
-            [rows["source"], rows["node_id"]]).isin(fkeys)]
-        survivors = _probe_rows(rows, frontier, probe_keys, n_probes,
-                                idx_cache)
-        if lv == 1:
-            win_allowed = survivors
-            break
-        nxt: dict[tuple[str, int], list[int]] = {}
-        for src, node, qi in survivors:
-            for c in range(F):
-                nxt.setdefault((src, node * F + c), []).append(qi)
-        frontier = nxt
-    if win_allowed:
-        f_src = np.array([s for s, _, _ in win_allowed], dtype=object)
-        f_node = np.array([n for _, n, _ in win_allowed], dtype=np.int64)
-        f_qi = np.array([q for _, _, q in win_allowed], dtype=np.int64)
-    else:
-        f_src = np.empty(0, dtype=object)
-        f_node = np.empty(0, np.int64)
-        f_qi = np.empty(0, np.int64)
-    return f_src, f_node, f_qi, covered, n_probes[0]
 
 
 def _expand_allowed(f_src: np.ndarray, f_node: np.ndarray,
@@ -712,13 +599,7 @@ _COORD_POOL = 4
 _QUERIES_PER_SHARD = 64
 
 
-def _coordinator(shard: int = 0):
-    import ray
-    name = _COORD_NAME if shard == 0 else f"{_COORD_NAME}_{shard}"
-    return _SuperCoordinatorImpl.options(
-        name=name, get_if_exists=True, num_cpus=0).remote()
-
-
+@ray.remote(num_cpus=0)
 class _SuperCoordinator:
     """Long-lived query-coordinator actor: holds the probe-ready super
     store cache (``_load_super_local``) so repeated query batches pay the
@@ -750,13 +631,18 @@ class _SuperCoordinator:
         return True
 
 
+def _coordinator(shard: int = 0):
+    name = _COORD_NAME if shard == 0 else f"{_COORD_NAME}_{shard}"
+    return _SuperCoordinator.options(name=name, get_if_exists=True).remote()
+
+
+@ray.remote(num_cpus=0)
 def _merge_prune_results(offsets: list[int], parts: list
                          ) -> SuperPruneResult | None:
     """Merge per-shard descend results (shard s covers compiled queries
     [offsets[s], offsets[s] + len(shard))) into one batch-wide
     ``SuperPruneResult``: per-window allowed query lists concatenate
     with the shard's query indices remapped to batch positions."""
-    import ray
     parts = ray.get(list(parts))
     if any(p is None for p in parts):
         return None
@@ -779,15 +665,6 @@ def _merge_prune_results(offsets: list[int], parts: list
     return SuperPruneResult(allowed, sum(p.probes for p in parts), covered)
 
 
-def _make_remote():
-    import ray
-    return ray.remote(_SuperCoordinator)
-
-
-_SuperCoordinatorImpl = None
-_MergePruneImpl = None
-
-
 def super_prune_async(out_dir: str, cfg: HbiConfig, compiled: list[dict],
                       *, sources: list[str] | None = None,
                       window_range: tuple[int, int] | None = None):
@@ -795,12 +672,8 @@ def super_prune_async(out_dir: str, cfg: HbiConfig, compiled: list[dict],
     ``ObjectRef[SuperPruneResult]`` — or None when the store cannot prune
     (``_usable_meta``), checked driver-side from the tiny meta and
     manifest files so the cheap no-op cases stay synchronous."""
-    global _SuperCoordinatorImpl, _MergePruneImpl
     if _usable_meta(out_dir, cfg) is None:
         return None
-    import ray
-    if _SuperCoordinatorImpl is None:
-        _SuperCoordinatorImpl = _make_remote()
     n_shards = min(_COORD_POOL,
                    max(1, len(compiled) // _QUERIES_PER_SHARD))
     if n_shards <= 1:
@@ -815,11 +688,9 @@ def super_prune_async(out_dir: str, cfg: HbiConfig, compiled: list[dict],
         refs.append(_coordinator(s).prune.remote(
             out_dir, cfg, part, sources, window_range))
         offs.append(s * size)
-    if _MergePruneImpl is None:
-        _MergePruneImpl = ray.remote(num_cpus=0)(_merge_prune_results)
     # refs nested in a list (not expanded): the merge task ray.gets the
     # small per-shard results itself
-    return _MergePruneImpl.remote(offs, refs)
+    return _merge_prune_results.remote(offs, refs)
 
 
 def warm_super_coordinator(out_dir: str, shards: int = _COORD_POOL
@@ -827,9 +698,5 @@ def warm_super_coordinator(out_dir: str, shards: int = _COORD_POOL
     """Open the super store inside the coordinator actor pool (one-time,
     untimed cost per index — the bench/driver analogue of query
     coordinators keeping the upper tree resident)."""
-    global _SuperCoordinatorImpl
-    import ray
-    if _SuperCoordinatorImpl is None:
-        _SuperCoordinatorImpl = _make_remote()
     return all(ray.get([_coordinator(s).warm.remote(out_dir)
                         for s in range(max(1, shards))]))

@@ -251,14 +251,14 @@ def pack_sequences(ds: "rd.Dataset", *, seq_len: int,
             np.int64)
         src = batch["source"].to_pylist()
         if boundary_id is not None:
-            # interleave one separator token after each document
+            # one separator token after each document: document d's
+            # tokens shift right by d, separators fill the gaps
             lens = np.diff(offs)
-            parts = np.split(flat, offs[1:-1])
-            sep = np.array([boundary_id], dtype=np.int32)
-            flat = np.concatenate(
-                [p for doc in parts for p in (doc, sep)]) \
-                if parts else sep[:0]
             offs = np.concatenate([[0], np.cumsum(lens + 1)])
+            sep_flat = np.full(offs[-1], boundary_id, dtype=np.int32)
+            sep_flat[np.arange(flat.size)
+                     + np.repeat(np.arange(len(lens)), lens)] = flat
+            flat = sep_flat
         n_rows = flat.size // seq_len
         used = n_rows * seq_len
         if not drop_last and flat.size % seq_len:

@@ -367,14 +367,18 @@ class TestPackSequences:
         import ray.data as rd
         from hierarchical_bloom_filter_index_ray.sources import \
             pack_sequences
-        rows = [{"doc_id": 0, "tokens": [1, 2, 3], "n_tok": 3,
-                 "source": "a"},
-                {"doc_id": 1, "tokens": [4, 5], "n_tok": 2,
-                 "source": "a"}]
-        ds = rd.from_items(rows).repartition(1)
-        out = pack_sequences(ds, seq_len=4, boundary_id=-1,
-                             drop_last=False).take_all()
-        packed = [t for r in sorted(out, key=lambda r: r["seq_id"])
-                  for t in r["tokens"]]
+        docs = {"a": [1, 2, 3], "empty": [], "b": [4, 5]}
+
+        def packed(names):
+            rows = [{"doc_id": i, "tokens": docs[n], "n_tok": len(docs[n]),
+                     "source": "a"} for i, n in enumerate(names)]
+            ds = rd.from_items(rows).repartition(1)
+            out = pack_sequences(ds, seq_len=4, boundary_id=-1,
+                                 drop_last=False).take_all()
+            return [t for r in sorted(out, key=lambda r: r["seq_id"])
+                    for t in r["tokens"]]
+
         # stream: 1 2 3 -1 4 5 -1 (+ zero pad to 8)
-        assert packed == [1, 2, 3, -1, 4, 5, -1, 0]
+        assert packed(["a", "b"]) == [1, 2, 3, -1, 4, 5, -1, 0]
+        # an empty document still gets its separator
+        assert packed(["a", "empty", "b"]) == [1, 2, 3, -1, -1, 4, 5, -1]

@@ -85,18 +85,20 @@ class TestSuperBuild:
         assert sum(len(w) for w in res.window_union.values()) >= 1
 
     def test_distributed_build_matches_local(self, index_dir, corpus,
-                                             sample_tokens, tmp_path):
-        """The Ray-rounds build path (forced via local_bytes_limit=0)
-        produces the same levels/nodes and the same prune decisions as the
-        driver-local fast path."""
+                                             sample_tokens, tmp_path,
+                                             monkeypatch):
+        """The Ray-rounds build path (forced by a zero
+        ``_LOCAL_BUILD_BYTES``) produces the same levels/nodes and the
+        same prune decisions as the driver-local fast path."""
         import shutil
 
-        from hierarchical_bloom_filter_index_ray.pipelines.super_index import \
-            build_super_index
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            super_index
         local_meta = load_super_meta(index_dir)
         dup = tmp_path / "dup"
         shutil.copytree(index_dir, dup)
-        dist_meta = build_super_index(str(dup), CFG, local_bytes_limit=0)
+        monkeypatch.setattr(super_index, "_LOCAL_BUILD_BYTES", 0)
+        dist_meta = super_index.build_super_index(str(dup), CFG)
         assert [(lv["level"], lv["nodes"]) for lv in dist_meta["levels"]] \
             == [(lv["level"], lv["nodes"]) for lv in local_meta["levels"]]
         queries = [("q0", sample_tokens[0]),
@@ -108,14 +110,33 @@ class TestSuperBuild:
         for src in set(a.allowed) | set(b.allowed):
             assert np.array_equal(a.allowed[src][0], b.allowed[src][0])
 
+    @pytest.mark.parametrize("sources,window_range", [
+        (None, None), (["src00"], None), (None, (8, 24)),
+        (["src00"], (8, 24))],
+        ids=["unscoped", "source", "window_range", "source_window_range"])
     def test_distributed_descend_matches_local(self, index_dir,
-                                               sample_tokens):
+                                               sample_tokens, monkeypatch,
+                                               sources, window_range):
+        """The uncached descend (forced by a zero ``_CACHE_BYTES``: every
+        level a frontier-filtered pyarrow read) gives the cached
+        descend's result, scoped or not, and runs no Ray Data job."""
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            super_index
         queries = [("q0", sample_tokens[0]),
                    ("missing", [2**29 + 1, 2**29 + 2])]
         compiled = compile_queries(queries, CFG)
-        a = super_prune(index_dir, CFG, compiled)
-        b = super_prune(index_dir, CFG, compiled, driver_cache_bytes=0)
+        a = super_prune(index_dir, CFG, compiled, sources=sources,
+                        window_range=window_range)
+
+        def no_ray_data(*args, **kwargs):
+            raise AssertionError("uncached descend started a Ray Data job")
+
+        monkeypatch.setattr(super_index, "_CACHE_BYTES", 0)
+        monkeypatch.setattr(super_index.rd, "read_parquet", no_ray_data)
+        b = super_prune(index_dir, CFG, compiled, sources=sources,
+                        window_range=window_range)
         assert a.probes == b.probes
+        assert a.covered_sources == b.covered_sources
         assert set(a.allowed) == set(b.allowed)
         for src in a.allowed:
             wa, oa, qa = a.allowed[src]
