@@ -253,7 +253,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="split each doc into fixed-length token segments")
     b.add_argument("--batch-size", type=int, default=2048)
     b.add_argument("--shard-windows", type=int, default=None,
-                   help="window-range resume shard size (windows/shard)")
+                   help="windows per resume/expiry shard (default: one "
+                        "shard per source)")
     b.add_argument("--no-super", action="store_true",
                    help="skip the cross-window super-level store")
     _add_cfg_args(b)

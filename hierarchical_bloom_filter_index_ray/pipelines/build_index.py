@@ -7,17 +7,19 @@ Ray shape (SURVEY.md §3.1 "Ray shape"):
                  -> map_batches(PartialSketchBuilder, actor pool)   [stateful]
                  -> groupby(source, window_id).map_groups(Merge)    [shuffle of
                                                                      sketches]
-                 -> write_parquet(out/partitions, partition_cols=[source])
+                 -> write_parquet(out/partitions,
+                                  partition_cols=[source, shard])
 
 The shuffle moves only serialized partial sketches (the map stage is the
 combiner), mirroring the reference's per-tree locality where tokens never
 leave the tree that indexed them (``PMIndex/HBI.java:230-261``).
 
 Checkpoint/resume (north_rule "resumable from checkpoint with per-partition
-lineage + metrics"): completed sources are recorded in ``manifest.json``
-with per-source row/token/byte metrics; a resumed build prunes completed
-sources from the read and appends only the missing partitions. Incomplete
-partition dirs from a crashed run are deleted before rebuilding.
+lineage + metrics"): rows live under ``partitions/source=S/shard=K``;
+completed (source, shard) pairs are recorded in ``manifest.json`` with
+per-source row/token/byte metrics; a resumed build drops the rows of
+completed shards and appends only the missing ones. Shard dirs the
+manifest does not record are deleted before building.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import json
 import shutil
 import time
 from pathlib import Path
+from urllib.parse import unquote
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -49,8 +53,9 @@ PARTITIONS = "partitions"
 # forms and OOB-int hashing while format_version stayed 1 — a resumed or
 # loaded v1 index would mix old/new slot assignments and return false
 # negatives). params_hash covers CONFIG drift; FORMAT_VERSION covers
-# CODE drift at identical config.
-FORMAT_VERSION = 2
+# CODE drift at identical config. v3: every index is sharded
+# (``source=S/shard=K``); v2 kept unsharded rows under ``source=S``.
+FORMAT_VERSION = 3
 
 
 def load_manifest(out_dir: str) -> dict | None:
@@ -74,6 +79,59 @@ def load_manifest(out_dir: str) -> dict | None:
     return man
 
 
+def _shard_of(window_id, shard_windows: int | None):
+    """Shard of a window id (an int, numpy array or pandas Series):
+    ``window_id // shard_windows``, or 0 for every window when
+    ``shard_windows`` is None (one shard per source)."""
+    return window_id // shard_windows if shard_windows else window_id * 0
+
+
+def _shard_dirs(out: Path):
+    """(source, shard, dir) of every ``source=S/shard=K`` partition dir,
+    in (source, shard) order."""
+    dirs = ((unquote(d.parent.name.split("=", 1)[1]),
+             int(d.name.split("=", 1)[1]), d)
+            for d in (out / PARTITIONS).glob("source=*/shard=*"))
+    return sorted(dirs, key=lambda t: t[:2])
+
+
+def _remove_unrecorded(out: Path, done: dict[str, list[int]]) -> None:
+    """Delete everything under ``source=*`` except the shard dirs that
+    ``done`` (the manifest's ``completed_shards``) records: a crashed
+    run's partial shards and, with no manifest, every earlier row —
+    including the files of the pre-v3 unsharded layout."""
+    for p in (out / PARTITIONS).glob("source=*/*"):
+        src = unquote(p.parent.name.split("=", 1)[1])
+        if (p.name.startswith("shard=")
+                and int(p.name.split("=", 1)[1]) in done.get(src, ())):
+            continue
+        if p.is_dir():
+            shutil.rmtree(p)
+        else:
+            p.unlink()
+
+
+def _drop_done(t: pa.Table, done: dict[str, list[int]],
+               shard_windows: int | None) -> pa.Table:
+    """Resume filter: drop the rows of completed (source, shard) pairs —
+    one ``np.isin`` per distinct source of the batch."""
+    enc = pc.dictionary_encode(t["source"].combine_chunks())
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    shard = _shard_of(t["window_id"].to_numpy(zero_copy_only=False),
+                      shard_windows)
+    drop = np.zeros(t.num_rows, dtype=bool)
+    for code, src in enumerate(enc.dictionary.to_pylist()):
+        if str(src) in done:
+            rows = codes == code
+            drop[rows] = np.isin(shard[rows], done[str(src)])
+    return t.filter(pa.array(~drop))
+
+
+def _with_shard(df, shard_windows: int | None):
+    return df.assign(
+        shard=_shard_of(df["window_id"], shard_windows).astype("int64"))
+
+
 def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
                 batch_size: int = 1024, concurrency=None,
                 num_cpus: float = 1.0, resume: bool = True,
@@ -85,16 +143,13 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
     (``pipelines/super_index.py``) — a tiny iterative aggregate over the
     per-window root blooms that bounds query probe work at O(log windows).
 
-    ``shard_windows``: partition the output additionally by
-    ``shard = window_id // shard_windows`` and record per-(source, shard)
-    completion in the manifest — resume granularity becomes a window
-    RANGE instead of a whole source, so restarting a crashed 100-TB
-    build skips finished shards of every source (a source at that scale
-    is far too big a unit to redo). ``None`` keeps the source-level
-    layout.
+    ``shard_windows``: the resume and expiry unit. ``K`` partitions each
+    source by ``shard = window_id // K`` — resume granularity becomes a
+    window RANGE instead of a whole source, so restarting a crashed
+    100-TB build skips finished shards of every source (a source at that
+    scale is far too big a unit to redo). ``None`` puts every window of a
+    source in ``shard=0``.
     """
-    import numpy as np
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -107,141 +162,97 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
             f"existing index at {out_dir} was built with different params "
             f"({manifest['params_hash']} != {cfg.params_hash()}); "
             "pass resume=False to rebuild")
-    if manifest is not None and manifest.get("shard_windows") != shard_windows:
+    if manifest is not None and manifest["shard_windows"] != shard_windows:
         raise ValueError(
             f"existing index at {out_dir} uses shard_windows="
-            f"{manifest.get('shard_windows')}, not {shard_windows}")
-    completed = set(manifest["completed_sources"]) if manifest else set()
-    completed_shards = (manifest or {}).get("completed_shards") or {}
-    done_keys = {f"{s}\x00{k}" for s, ks in completed_shards.items()
-                 for k in ks}
+            f"{manifest['shard_windows']}, not {shard_windows}")
+    done = manifest["completed_shards"] if manifest else {}
+    _remove_unrecorded(out, done)
 
-    if shard_windows is not None:
-        # shard-level cleanup: any (source, shard) dir not recorded
-        # complete is a crashed-run leftover
-        for sdir in (out / PARTITIONS).glob("source=*"):
-            src = sdir.name.split("=", 1)[1]
-            for shdir in sdir.glob("shard=*"):
-                k = int(shdir.name.split("=", 1)[1])
-                if f"{src}\x00{k}" not in done_keys:
-                    shutil.rmtree(shdir)
-        todo = None  # the row filter below prunes completed shards
-    elif completed:
-        # source discovery only needed to prune a resumed build (projection
-        # is pushed into the parquet read; a fresh build skips this job)
-        all_sources = sorted(ds.select_columns(["source"]).unique("source"))
-        todo = [s for s in all_sources if s not in completed]
+    chain = ds.map_batches(add_window_columns, batch_format="pyarrow",
+                           zero_copy_batch=True, fn_kwargs={"cfg": cfg})
+    if done:
+        chain = chain.map_batches(
+            _drop_done, batch_format="pyarrow",
+            fn_kwargs={"done": done, "shard_windows": shard_windows})
+    partials = (
+        chain
+        .map_batches(PartialSketchBuilder, batch_format="pyarrow",
+                     zero_copy_batch=True, batch_size=batch_size,
+                     fn_constructor_kwargs={"cfg": cfg},
+                     concurrency=concurrency, num_cpus=num_cpus)
+    ).materialize()  # pin partials: consumed by the key check + finalize
+    policy = None
+    if cfg.policy_quantile is not None:
+        policy = {"quantile": cfg.policy_quantile,
+                  "conf": cfg.policy_conf, "fp": cfg.fp,
+                  "max_depth": cfg.window_bits}
+    # duplicate-key check without a shuffle: each block's partial keys
+    # are unique BY CONSTRUCTION (the builder groups per batch), so a
+    # window can only be duplicated ACROSS blocks — detectable from
+    # per-block (min, max) key ranges, O(#blocks) driver rows. With
+    # window-aligned batches the ranges are disjoint and the payload
+    # shuffle is skipped entirely.
+    def block_key_range(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({"min_key": pa.array([], pa.string()),
+                             "max_key": pa.array([], pa.string()),
+                             "dup_free": pa.array([], pa.bool_())})
+        keys = sorted(f"{s}\x00{w:020d}" for s, w in
+                      zip(t["source"].to_pylist(),
+                          t["window_id"].to_pylist()))
+        dup_free = all(a < b for a, b in zip(keys, keys[1:]))
+        return pa.table({"min_key": pa.array([keys[0]]),
+                         "max_key": pa.array([keys[-1]]),
+                         "dup_free": pa.array([dup_free])})
+
+    ranges = (partials.select_columns(["source", "window_id"])
+              .map_batches(block_key_range, batch_format="pyarrow")
+              .to_pandas())
+    if not len(ranges):
+        disjoint = None          # fully-complete resume: nothing new
     else:
-        todo = None  # fresh build: everything, no discovery pass
-    if todo is None or todo:
-        # clear partial leftovers from a crashed run for the todo sources
-        if shard_windows is None:
-            for s in (todo or []):
-                leftover = out / PARTITIONS / f"source={s}"
-                if leftover.exists():
-                    shutil.rmtree(leftover)
-        work = ds
-        if shard_windows is None and completed:
-            keep = pa.array(sorted(todo))
-            work = work.map_batches(
-                lambda t: t.filter(pc.is_in(t["source"], value_set=keep)),
-                batch_format="pyarrow")
-        chain = work.map_batches(add_window_columns, batch_format="pyarrow",
-                                 zero_copy_batch=True, fn_kwargs={"cfg": cfg})
-        if shard_windows is not None and done_keys:
-            done_arr = np.array(sorted(done_keys), dtype=object)
+        ranges = ranges.sort_values("min_key")
+        disjoint = bool(ranges["dup_free"].all()) and all(
+            a < b for a, b in zip(ranges["max_key"].iloc[:-1],
+                                  ranges["min_key"].iloc[1:]))
+    if disjoint is None:
+        merged = None
+    elif disjoint:
+        merged = partials.map_batches(
+            finalize_unique_partials, batch_format="pandas",
+            fn_kwargs={"params_hash": cfg.params_hash(),
+                       "policy": policy})
+    else:
+        merged = partials.groupby(["source", "window_id"]).map_groups(
+            merge_partials_group, batch_format="pandas",
+            fn_kwargs={"params_hash": cfg.params_hash(),
+                       "policy": policy})
+    if merged is not None:
+        merged.map_batches(
+            _with_shard, batch_format="pandas",
+            fn_kwargs={"shard_windows": shard_windows}).write_parquet(
+            str(out / PARTITIONS), partition_cols=["source", "shard"],
+            mode="append")
 
-            def drop_done(t: pa.Table) -> pa.Table:
-                keys = np.array(
-                    [f"{s}\x00{w // shard_windows}" for s, w in
-                     zip(t["source"].to_pylist(),
-                         t["window_id"].to_numpy(zero_copy_only=False))],
-                    dtype=object)
-                return t.filter(pa.array(~np.isin(keys, done_arr)))
-
-            chain = chain.map_batches(drop_done, batch_format="pyarrow")
-        partials = (
-            chain
-            .map_batches(PartialSketchBuilder, batch_format="pyarrow",
-                         zero_copy_batch=True, batch_size=batch_size,
-                         fn_constructor_kwargs={"cfg": cfg},
-                         concurrency=concurrency, num_cpus=num_cpus)
-        ).materialize()  # pin partials: consumed by the key check + finalize
-        policy = None
-        if cfg.policy_quantile is not None:
-            policy = {"quantile": cfg.policy_quantile,
-                      "conf": cfg.policy_conf, "fp": cfg.fp,
-                      "max_depth": cfg.window_bits}
-        # duplicate-key check without a shuffle: each block's partial keys
-        # are unique BY CONSTRUCTION (the builder groups per batch), so a
-        # window can only be duplicated ACROSS blocks — detectable from
-        # per-block (min, max) key ranges, O(#blocks) driver rows. With
-        # window-aligned batches the ranges are disjoint and the payload
-        # shuffle is skipped entirely.
-        def block_key_range(t: pa.Table) -> pa.Table:
-            if not t.num_rows:
-                return pa.table({"min_key": pa.array([], pa.string()),
-                                 "max_key": pa.array([], pa.string()),
-                                 "dup_free": pa.array([], pa.bool_())})
-            keys = sorted(f"{s}\x00{w:020d}" for s, w in
-                          zip(t["source"].to_pylist(),
-                              t["window_id"].to_pylist()))
-            dup_free = all(a < b for a, b in zip(keys, keys[1:]))
-            return pa.table({"min_key": pa.array([keys[0]]),
-                             "max_key": pa.array([keys[-1]]),
-                             "dup_free": pa.array([dup_free])})
-
-        ranges = (partials.select_columns(["source", "window_id"])
-                  .map_batches(block_key_range, batch_format="pyarrow")
-                  .to_pandas())
-        if not len(ranges):
-            disjoint = None          # fully-complete resume: nothing new
-        else:
-            ranges = ranges.sort_values("min_key")
-            disjoint = bool(ranges["dup_free"].all()) and all(
-                a < b for a, b in zip(ranges["max_key"].iloc[:-1],
-                                      ranges["min_key"].iloc[1:]))
-        if disjoint is None:
-            merged = None
-        elif disjoint:
-            merged = partials.map_batches(
-                finalize_unique_partials, batch_format="pandas",
-                fn_kwargs={"params_hash": cfg.params_hash(),
-                           "policy": policy})
-        else:
-            merged = partials.groupby(["source", "window_id"]).map_groups(
-                merge_partials_group, batch_format="pandas",
-                fn_kwargs={"params_hash": cfg.params_hash(),
-                           "policy": policy})
-        if merged is not None:
-            part_cols = (["source"] if shard_windows is None
-                         else ["source", "shard"])
-            if shard_windows is not None:
-                merged = merged.map_batches(
-                    lambda df: df.assign(
-                        shard=(df["window_id"] // shard_windows).astype(
-                            "int64")),
-                    batch_format="pandas")
-            merged.write_parquet(str(out / PARTITIONS),
-                                 partition_cols=part_cols, mode="append")
-
-    manifest = _write_manifest(out, cfg, completed, shard_windows,
-                               round(time.perf_counter() - t0, 3))
+    manifest = _write_manifest(out, cfg, shard_windows,
+                               round(time.perf_counter() - t0, 3), done)
     if super_levels:
         from .super_index import build_super_index
         manifest["super"] = build_super_index(out_dir, cfg)
     return manifest
 
 
-def _write_manifest(out: Path, cfg: HbiConfig, completed: set,
-                    shard_windows: int | None, build_seconds: float,
-                    keep_shards: dict[str, list[int]] | None = None) -> dict:
+def _write_manifest(out: Path, cfg: HbiConfig, shard_windows: int | None,
+                    build_seconds: float,
+                    done: dict[str, list[int]]) -> dict:
     """Lineage + per-source metrics read back from the partitions.
 
-    ``keep_shards``: pre-expiry shard-completion state to preserve —
-    expiry deletes data but must NOT un-complete the expired ranges, or a
-    later ``build_index(resume=True)`` over the same input would silently
-    re-ingest (resurrect) them.
+    ``completed_shards`` records every (source, shard) with rows on disk
+    plus ``done``, the previous manifest's record: expiry deletes data
+    but must NOT un-complete the expired ranges — not in its own write,
+    nor in any later build's — or a resumed build over the same input
+    would silently re-ingest (resurrect) them.
     """
     import pandas as pd
 
@@ -262,6 +273,7 @@ def _write_manifest(out: Path, cfg: HbiConfig, completed: set,
                            "n_tokens": pd.Series([], dtype="int64"),
                            "index_bytes": pd.Series([], dtype="int64")})
     per_source: dict[str, dict] = {}
+    shards = {s: set(ks) for s, ks in done.items()}
     df["source"] = df["source"].astype(str)
     for s, g in df.groupby("source"):
         per_source[s] = {
@@ -270,11 +282,15 @@ def _write_manifest(out: Path, cfg: HbiConfig, completed: set,
             "n_tokens": int(g["n_tokens"].sum()),
             "index_bytes": int(g["index_bytes"].sum()),
         }
+        shards.setdefault(s, set()).update(
+            _shard_of(g["window_id"], shard_windows).unique().tolist())
     manifest = {
         "format_version": FORMAT_VERSION,
         "params_hash": cfg.params_hash(),
         "config": cfg.to_json(),
-        "completed_sources": sorted(set(per_source) | completed),
+        "completed_sources": sorted(shards),
+        "completed_shards": {s: sorted(ks)
+                             for s, ks in sorted(shards.items())},
         "shard_windows": shard_windows,
         "sources": per_source,
         "built_unix": time.time(),
@@ -284,14 +300,6 @@ def _write_manifest(out: Path, cfg: HbiConfig, completed: set,
         "total_tokens": int(df["n_tokens"].sum()),
         "total_index_bytes": int(df["index_bytes"].sum()),
     }
-    if shard_windows is not None:
-        shards = {
-            s: set((g["window_id"] // shard_windows).unique().tolist())
-            for s, g in df.groupby("source")}
-        for s, ks in (keep_shards or {}).items():
-            shards.setdefault(s, set()).update(int(k) for k in ks)
-        manifest["completed_shards"] = {
-            s: sorted(ks) for s, ks in sorted(shards.items())}
     (out / MANIFEST).write_text(json.dumps(manifest, indent=2))
     return manifest
 
@@ -303,61 +311,45 @@ def expire_windows(out_dir: str, cfg: HbiConfig, *, before_window: int,
     drop every index row whose ``window_id < before_window``; returns the
     refreshed manifest.
 
-    Sharded layout (``build_index(shard_windows=K)``): shard dirs wholly
-    below the cutoff just UNLINK (O(expired shards), no data rewrite);
-    only the single boundary shard per source rewrites. Unsharded layout:
-    per-source filter-rewrite. The super store rebuilds from the
-    remaining window roots; queries never see expired windows (the same
-    result as ``window_range=(before_window, inf)`` on the full index).
+    Shard dirs wholly below the cutoff just UNLINK (O(expired shards), no
+    data rewrite); only the single boundary shard per source rewrites —
+    with one shard per source (``shard_windows=None``) that is the
+    source's only shard. The super store rebuilds from the remaining
+    window roots; queries never see expired windows (the same result as
+    ``window_range=(before_window, inf)`` on the full index).
     """
-    import time as _t
-
-    t0 = _t.perf_counter()
+    t0 = time.perf_counter()
     out = Path(out_dir)
     manifest = load_manifest(out_dir)
     if manifest is None:
         raise ValueError(f"no index at {out_dir}")
     if manifest["params_hash"] != cfg.params_hash():
         raise ValueError("config mismatch with the existing index")
-    shard_windows = manifest.get("shard_windows")
-
-    def rewrite_filtered(target: Path) -> None:
-        """Keep only rows with window_id >= cutoff in one partition dir."""
-        files = sorted(target.rglob("*.parquet"))
-        for f in files:
-            t = pq.read_table(str(f))
-            keep = pc.greater_equal(t["window_id"], before_window)
-            kept = t.filter(keep)
-            if kept.num_rows == t.num_rows:
-                continue
-            if kept.num_rows == 0:
-                f.unlink()
-            else:
-                pq.write_table(kept, str(f))
-        if not any(target.rglob("*.parquet")):
-            shutil.rmtree(target)
-
-    for sdir in sorted((out / PARTITIONS).glob("source=*")):
-        if shard_windows is not None:
-            for shdir in sorted(sdir.glob("shard=*")):
-                k = int(shdir.name.split("=", 1)[1])
-                hi = (k + 1) * shard_windows
-                lo = k * shard_windows
-                if hi <= before_window:
-                    shutil.rmtree(shdir)        # wholly expired: unlink
-                elif lo < before_window:
-                    rewrite_filtered(shdir)     # boundary shard only
-            if not any(sdir.rglob("*.parquet")):
-                shutil.rmtree(sdir)
-        else:
-            rewrite_filtered(sdir)
+    shard_windows = manifest["shard_windows"]
+    cut = _shard_of(before_window, shard_windows)
+    for _, k, shdir in _shard_dirs(out):
+        if k < cut:
+            shutil.rmtree(shdir)                # wholly expired: unlink
+        elif k == cut:                          # the boundary shard
+            for f in sorted(shdir.glob("*.parquet")):
+                t = pq.read_table(str(f))
+                kept = t.filter(pc.greater_equal(t["window_id"],
+                                                 before_window))
+                if kept.num_rows == 0:
+                    f.unlink()
+                elif kept.num_rows < t.num_rows:
+                    pq.write_table(kept, str(f))
+            if not any(shdir.iterdir()):
+                shdir.rmdir()
+    for sdir in (out / PARTITIONS).glob("source=*"):
+        if not any(sdir.iterdir()):
+            sdir.rmdir()
 
     # completion state survives expiry: the expired ranges were BUILT —
     # deleting their data must not invite a resumed build to re-ingest them
-    manifest = _write_manifest(
-        out, cfg, set(manifest.get("completed_sources") or []),
-        shard_windows, round(_t.perf_counter() - t0, 3),
-        keep_shards=manifest.get("completed_shards"))
+    manifest = _write_manifest(out, cfg, shard_windows,
+                               round(time.perf_counter() - t0, 3),
+                               manifest["completed_shards"])
     manifest["expired_before_window"] = before_window
     (out / MANIFEST).write_text(json.dumps(manifest, indent=2))
     if super_levels and (out / "super").exists():
@@ -371,39 +363,21 @@ def expire_windows(out_dir: str, cfg: HbiConfig, *, before_window: int,
 
 
 def _snapshot_paths(out_dir: str, manifest: dict) -> list[str] | None:
-    """Parquet files belonging to the manifest's COMPLETED state, listed
-    NOW: completed (source, shard) dirs for sharded indexes, completed
-    source dirs otherwise. Files inside those dirs are immutable once the
-    manifest records them (appends create new shard dirs; unsharded
-    resume only writes into dirs of sources absent from
-    ``completed_sources``), so the returned list is a consistent
+    """Parquet files of the manifest's completed (source, shard) dirs,
+    listed NOW. Files inside those dirs are immutable once the manifest
+    records them (builds only write into shard dirs absent from
+    ``completed_shards``), so the returned list is a consistent
     snapshot. None when nothing is completed yet."""
-    from urllib.parse import unquote
-
-    root = Path(out_dir) / PARTITIONS
-    shards = manifest.get("completed_shards")
-    paths: list[str] = []
-    if shards:
-        for s, ks in shards.items():
-            for k in ks:
-                d = root / f"source={s}" / f"shard={k}"
-                if d.is_dir():
-                    paths.extend(sorted(str(p)
-                                        for p in d.glob("*.parquet")))
-        return paths or None
-    done = set(manifest.get("completed_sources") or [])
-    if not done:
-        return None
-    for d in sorted(root.glob("source=*")):
-        if unquote(d.name.split("=", 1)[1]) in done:
-            paths.extend(sorted(str(p) for p in d.rglob("*.parquet")))
+    done = manifest["completed_shards"]
+    paths = [str(p) for s, k, d in _shard_dirs(Path(out_dir))
+             if k in done.get(s, ()) for p in sorted(d.glob("*.parquet"))]
     return paths or None
 
 
 def load_index(out_dir: str, columns: list[str] | None = None, *,
                snapshot: bool = True) -> "rd.Dataset":
-    """The persisted index as a Dataset (hive partition col `source`
-    restored as a string column).
+    """The persisted index as a Dataset (hive partition cols `source`
+    and `shard` restored as columns).
 
     ``snapshot=True`` (default) pins the read to the manifest's completed
     partition list resolved at CALL time — the reference's

@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import HbiConfig
 from ..functions.tokenize import hash_words, split_words
@@ -79,37 +79,53 @@ def decontaminate(index_dir: str, sequences_ds, texts: list[str], *,
     """Flag corpus documents sharing >= ``min_windows`` exact
     ``window``-token spans with any benchmark text. Returns
     ``(bench_id, doc_id, windows_matched, total_matches)`` sorted —
-    exact (zero false positives; the bloom tree only prunes work).
+    exact (zero false positives; the bloom tree only prunes work). The
+    per-window hits are folded per (bench_id, doc_id) on the cluster;
+    only the flagged pairs reach the driver.
 
-    ``query_kwargs`` pass through to ``membership_query`` (sources /
+    ``query_kwargs`` pass through to ``membership_query_ds`` (sources /
     window_range scoping, super_dir, sequences_meta, ...)."""
+    import ray
+    from ray.data.aggregate import Count, Sum
+
     from .build_index import load_index
-    from .query_index import membership_query
+    from .query_index import membership_query_ds
     cfg = cfg or _index_cfg(index_dir)
     queries = benchmark_windows(texts, cfg.seed, window=window,
                                 stride=stride, ids=ids)
+    flagged = pa.table({"bench_id": pa.array([], pa.string()),
+                        "doc_id": pa.array([], pa.string()),
+                        "windows_matched": pa.array([], pa.int64()),
+                        "total_matches": pa.array([], pa.int64())})
     if not queries:
-        return pa.table({"bench_id": pa.array([], pa.string()),
-                         "doc_id": pa.array([], pa.string()),
-                         "windows_matched": pa.array([], pa.int64()),
-                         "total_matches": pa.array([], pa.int64())})
+        return flagged
     query_kwargs.setdefault("super_dir", index_dir)
-    hits = membership_query(load_index(index_dir), sequences_ds,
-                            queries, cfg, with_counts=True,
-                            **query_kwargs)
-    bench = pa.array([q.split("\x00", 1)[0]
-                      for q in hits["query_id"].to_pylist()],
-                     pa.string())
-    t = pa.table({"bench_id": bench, "doc_id": hits["doc_id"],
-                  "n_matches": hits["n_matches"]})
-    df = t.to_pandas()
-    agg = (df.groupby(["bench_id", "doc_id"], as_index=False)
-           .agg(windows_matched=("n_matches", "size"),
-                total_matches=("n_matches", "sum")))
-    agg = agg[agg["windows_matched"] >= min_windows]
-    agg = agg.sort_values(["bench_id", "doc_id"]).reset_index(drop=True)
-    return pa.Table.from_pandas(agg, preserve_index=False).cast(
-        pa.schema([("bench_id", pa.string()),
-                   ("doc_id", t.schema.field("doc_id").type),
-                   ("windows_matched", pa.int64()),
-                   ("total_matches", pa.int64())]))
+    hits = membership_query_ds(load_index(index_dir), sequences_ds,
+                               queries, cfg, with_counts=True, sort=None,
+                               **query_kwargs)
+
+    def bench_hits(t: pa.Table) -> pa.Table:
+        bench = pc.list_element(
+            pc.split_pattern(t["query_id"], "\x00", max_splits=1), 0)
+        return pa.table({"bench_id": bench, "doc_id": t["doc_id"],
+                         "n_matches": t["n_matches"]})
+
+    def enough(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["windows_matched"], min_windows))
+
+    folded = (hits.map_batches(bench_hits, batch_format="pyarrow")
+              .groupby(["bench_id", "doc_id"])
+              .aggregate(Count(alias_name="windows_matched"),
+                         Sum("n_matches", alias_name="total_matches"))
+              .map_batches(enough, batch_format="pyarrow"))
+    # materialized first, so listing the blocks re-runs nothing; a block
+    # that kept no rows still carries the hits' doc_id type
+    blocks = [b for b in ray.get(folded.materialize().to_arrow_refs())
+              if b.num_columns]
+    if blocks:
+        t = pa.concat_tables([b for b in blocks if b.num_rows]
+                             or blocks[:1]).select(flagged.column_names)
+        flagged = t.sort_by([("bench_id", "ascending"),
+                             ("doc_id", "ascending")]).cast(
+            flagged.schema.set(1, t.schema.field("doc_id")))
+    return flagged

@@ -231,7 +231,6 @@ class TestQuery:
             want = membership_query(idx, seqs, queries, CFG,
                                     with_counts=with_counts).to_pandas()
             for mode, sort in (("broadcast", "block"), ("broadcast", None),
-                               ("broadcast", "global"),
                                ("distributed", "block")):
                 # a zero broadcast limit forces the bloom-gate exchange
                 monkeypatch.setattr(query_index, "_BROADCAST_LIMIT",
@@ -244,11 +243,8 @@ class TestQuery:
                        .reset_index(drop=True))
                 assert got.equals(want.reset_index(drop=True)), (
                     mode, sort, with_counts)
-                if sort == "global":
-                    # the distributed sort itself must deliver total order
-                    ordered = ds.to_pandas()
-                    assert list(ordered.itertuples(index=False)) == sorted(
-                        ordered.itertuples(index=False))
+        with pytest.raises(ValueError, match="sort must be"):
+            membership_query_ds(idx, seqs, queries, CFG, sort="global")
 
 
 class TestResume:
@@ -417,12 +413,64 @@ class TestResume:
         assert len(r_roll) > 0
         assert r_roll.reset_index(drop=True).equals(
             r_fresh.reset_index(drop=True))
-        # resume over the same input must not re-ingest expired ranges
-        build_index(ds_full, cfg, str(roll), batch_size=64,
-                    shard_windows=4, super_levels=False)
-        idx = load_index(str(roll)).to_pandas()
-        assert int(idx["window_id"].min()) >= 4
-        assert len(idx) == len(a)
+        # resume over the same input must not re-ingest expired ranges,
+        # however many resumes follow the expiry
+        for _ in range(2):
+            man = build_index(ds_full, cfg, str(roll), batch_size=64,
+                              shard_windows=4, super_levels=False)
+            idx = load_index(str(roll)).to_pandas()
+            assert int(idx["window_id"].min()) >= 4
+            assert len(idx) == len(a)
+            assert all(ks == [0, 1, 2]
+                       for ks in man["completed_shards"].values())
+
+    def test_rebuild_replaces_rows(self, ray_session, tmp_path):
+        """``resume=False`` into an existing index dir replaces its rows
+        instead of appending a second copy, and an unsharded build keeps
+        every row under ``source=S/shard=0``."""
+        import shutil
+
+        cfg = HbiConfig(seed=7, docs_per_window=32, hll_p=12,
+                        cms_eps=0.05, cms_delta=0.1)
+        ds = synth_sequences(256, seed=9, n_sources=2, vocab=512)
+        out = tmp_path / "idx"
+        first = build_index(ds, cfg, str(out), batch_size=64, resume=False)
+        pdir = out / "partitions"
+        # a part file directly under source=S (the pre-v3 layout) is an
+        # old row too
+        old = next(pdir.glob("source=src00/shard=0/*.parquet"))
+        shutil.copy(old, pdir / "source=src00" / old.name)
+        second = build_index(ds, cfg, str(out), batch_size=64,
+                             resume=False)
+        for key in ("total_docs", "total_tokens", "total_windows",
+                    "total_index_bytes", "completed_shards"):
+            assert second[key] == first[key], key
+        assert first["total_docs"] == 256
+        assert len(load_index(str(out)).to_pandas()) == \
+            first["total_windows"]
+        assert sorted(p.relative_to(pdir).as_posix()
+                      for p in pdir.glob("source=*/*")) == \
+            ["source=src00/shard=0", "source=src01/shard=0"]
+        assert not list(pdir.glob("source=*/*.parquet"))
+
+    def test_drop_done_matches_row_loop(self):
+        """The vectorized resume filter drops exactly the rows a per-row
+        (source, shard) lookup drops, for both kinds of shard_windows."""
+        from hierarchical_bloom_filter_index_ray.pipelines.build_index \
+            import _drop_done
+
+        rng = np.random.default_rng(3)
+        src = rng.choice(["a", "b", "c"], 500).tolist()
+        win = rng.integers(0, 40, 500).tolist()
+        t = pa.table({"source": src, "window_id": pa.array(win, pa.int64())})
+        t = pa.concat_tables([t.slice(0, 200), t.slice(200)])  # 2 chunks
+        for shard_windows, done in ((4, {"a": [0, 3], "c": [9]}),
+                                    (None, {"b": [0]})):
+            keep = [not (s in done and (w // shard_windows if shard_windows
+                                        else 0) in done[s])
+                    for s, w in zip(src, win)]
+            assert _drop_done(t, done, shard_windows).equals(
+                t.filter(pa.array(keep)))
 
     def test_interleaved_ingest_and_query(self, ray_session, tmp_path):
         """Interleaved ingest/query (the reference queries every
