@@ -24,7 +24,9 @@ manifest does not record are deleted before building.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -38,8 +40,9 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..config import HbiConfig
-from ..stages.merge import finalize_unique_partials, merge_partials_group
-from ..stages.resources import default_concurrency
+from ..stages.merge import merge_partials_group
+from ..stages.resources import (check_pool_fits, cluster_cpus,
+                                default_concurrency)
 from ..stages.sketch_build import PartialSketchBuilder
 from ..stages.window import add_window_columns
 
@@ -77,6 +80,18 @@ def load_manifest(out_dir: str) -> dict | None:
             "resume=False) — resuming or querying across format "
             "versions can silently mix (window, slot) assignments")
     return man
+
+
+def write_json_atomic(path: Path, obj) -> None:
+    """Write ``obj`` as JSON to ``path`` through a temp file in the same
+    directory and ``os.replace``: a process killed mid-write leaves the
+    previous file whole, never a truncated resume record."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(json.dumps(obj, indent=2))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _shard_of(window_id, shard_windows: int | None):
@@ -150,12 +165,14 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
     scale is far too big a unit to redo). ``None`` puts every window of a
     source in ``shard=0``.
     """
+    if concurrency is None:
+        concurrency = default_concurrency()
+    else:
+        check_pool_fits(concurrency, num_cpus, cluster_cpus())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    if concurrency is None:
-        concurrency = default_concurrency()
     manifest = load_manifest(out_dir) if resume else None
     if manifest is not None and manifest["params_hash"] != cfg.params_hash():
         raise ValueError(
@@ -175,65 +192,32 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
         chain = chain.map_batches(
             _drop_done, batch_format="pyarrow",
             fn_kwargs={"done": done, "shard_windows": shard_windows})
-    partials = (
-        chain
-        .map_batches(PartialSketchBuilder, batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=batch_size,
-                     fn_constructor_kwargs={"cfg": cfg},
-                     concurrency=concurrency, num_cpus=num_cpus)
-    ).materialize()  # pin partials: consumed by the key check + finalize
     policy = None
     if cfg.policy_quantile is not None:
         policy = {"quantile": cfg.policy_quantile,
                   "conf": cfg.policy_conf, "fp": cfg.fp,
                   "max_depth": cfg.window_bits}
-    # duplicate-key check without a shuffle: each block's partial keys
-    # are unique BY CONSTRUCTION (the builder groups per batch), so a
-    # window can only be duplicated ACROSS blocks — detectable from
-    # per-block (min, max) key ranges, O(#blocks) driver rows. With
-    # window-aligned batches the ranges are disjoint and the payload
-    # shuffle is skipped entirely.
-    def block_key_range(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return pa.table({"min_key": pa.array([], pa.string()),
-                             "max_key": pa.array([], pa.string()),
-                             "dup_free": pa.array([], pa.bool_())})
-        keys = sorted(f"{s}\x00{w:020d}" for s, w in
-                      zip(t["source"].to_pylist(),
-                          t["window_id"].to_pylist()))
-        dup_free = all(a < b for a, b in zip(keys, keys[1:]))
-        return pa.table({"min_key": pa.array([keys[0]]),
-                         "max_key": pa.array([keys[-1]]),
-                         "dup_free": pa.array([dup_free])})
-
-    ranges = (partials.select_columns(["source", "window_id"])
-              .map_batches(block_key_range, batch_format="pyarrow")
-              .to_pandas())
-    if not len(ranges):
-        disjoint = None          # fully-complete resume: nothing new
-    else:
-        ranges = ranges.sort_values("min_key")
-        disjoint = bool(ranges["dup_free"].all()) and all(
-            a < b for a, b in zip(ranges["max_key"].iloc[:-1],
-                                  ranges["min_key"].iloc[1:]))
-    if disjoint is None:
-        merged = None
-    elif disjoint:
-        merged = partials.map_batches(
-            finalize_unique_partials, batch_format="pandas",
-            fn_kwargs={"params_hash": cfg.params_hash(),
-                       "policy": policy})
-    else:
-        merged = partials.groupby(["source", "window_id"]).map_groups(
-            merge_partials_group, batch_format="pandas",
-            fn_kwargs={"params_hash": cfg.params_hash(),
-                       "policy": policy})
-    if merged is not None:
-        merged.map_batches(
-            _with_shard, batch_format="pandas",
-            fn_kwargs={"shard_windows": shard_windows}).write_parquet(
-            str(out / PARTITIONS), partition_cols=["source", "shard"],
-            mode="append")
+    # materialize() ends the map execution before the shuffle: one fused
+    # execution (the builder pool likely keeps its CPUs meanwhile) lost 4/4
+    # perfbench build pairs on a 2-CPU Ray, -12% tok/s and +14% call p50
+    (chain
+     .map_batches(PartialSketchBuilder, batch_format="pyarrow",
+                  zero_copy_batch=True, batch_size=batch_size,
+                  fn_constructor_kwargs={"cfg": cfg},
+                  concurrency=concurrency, num_cpus=num_cpus)
+     .materialize()
+     .groupby(["source", "window_id"])
+     .map_groups(merge_partials_group, batch_format="pandas",
+                 fn_kwargs={"params_hash": cfg.params_hash(),
+                            "policy": policy})
+     .map_batches(_with_shard, batch_format="pandas",
+                  fn_kwargs={"shard_windows": shard_windows})
+     .write_parquet(str(out / PARTITIONS),
+                    partition_cols=["source", "shard"], mode="append"))
+    # Ray Data holds the partials' block refs, which pin the builder pool,
+    # in a reference cycle: uncollected, the pool keeps its CPUs after this
+    # call and the next build's read waits (17-28 s calls on a 2-CPU Ray)
+    gc.collect()
 
     manifest = _write_manifest(out, cfg, shard_windows,
                                round(time.perf_counter() - t0, 3), done)
@@ -244,9 +228,10 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
 
 
 def _write_manifest(out: Path, cfg: HbiConfig, shard_windows: int | None,
-                    build_seconds: float,
-                    done: dict[str, list[int]]) -> dict:
-    """Lineage + per-source metrics read back from the partitions.
+                    build_seconds: float, done: dict[str, list[int]],
+                    **extra) -> dict:
+    """Lineage + per-source metrics read back from the partitions, plus
+    the ``extra`` fields.
 
     ``completed_shards`` records every (source, shard) with rows on disk
     plus ``done``, the previous manifest's record: expiry deletes data
@@ -256,22 +241,14 @@ def _write_manifest(out: Path, cfg: HbiConfig, shard_windows: int | None,
     """
     import pandas as pd
 
+    cols = ["source", "window_id", "n_docs", "n_tokens", "index_bytes"]
     pdir = out / PARTITIONS
-    if pdir.exists() and any(pdir.rglob("*.parquet")):
-        stats = pq.read_table(
-            str(pdir),
-            columns=["source", "window_id", "n_docs", "n_tokens",
-                     "index_bytes"])
-        df = stats.to_pandas()
-    else:
-        # every window expired (or nothing built yet): an empty, correctly
-        # typed frame keeps the manifest write total-zero instead of
-        # crashing after the data is already gone
-        df = pd.DataFrame({"source": pd.Series([], dtype=object),
-                           "window_id": pd.Series([], dtype="int64"),
-                           "n_docs": pd.Series([], dtype="int64"),
-                           "n_tokens": pd.Series([], dtype="int64"),
-                           "index_bytes": pd.Series([], dtype="int64")})
+    # every window expired (or nothing built yet): an empty frame keeps
+    # the manifest write total-zero instead of crashing after the data is
+    # already gone
+    df = (pq.read_table(str(pdir), columns=cols).to_pandas()
+          if pdir.exists() and any(pdir.rglob("*.parquet"))
+          else pd.DataFrame(columns=cols))
     per_source: dict[str, dict] = {}
     shards = {s: set(ks) for s, ks in done.items()}
     df["source"] = df["source"].astype(str)
@@ -299,8 +276,9 @@ def _write_manifest(out: Path, cfg: HbiConfig, shard_windows: int | None,
         "total_docs": int(df["n_docs"].sum()),
         "total_tokens": int(df["n_tokens"].sum()),
         "total_index_bytes": int(df["index_bytes"].sum()),
+        **extra,
     }
-    (out / MANIFEST).write_text(json.dumps(manifest, indent=2))
+    write_json_atomic(out / MANIFEST, manifest)
     return manifest
 
 
@@ -349,9 +327,8 @@ def expire_windows(out_dir: str, cfg: HbiConfig, *, before_window: int,
     # deleting their data must not invite a resumed build to re-ingest them
     manifest = _write_manifest(out, cfg, shard_windows,
                                round(time.perf_counter() - t0, 3),
-                               manifest["completed_shards"])
-    manifest["expired_before_window"] = before_window
-    (out / MANIFEST).write_text(json.dumps(manifest, indent=2))
+                               manifest["completed_shards"],
+                               expired_before_window=before_window)
     if super_levels and (out / "super").exists():
         if manifest["total_windows"] == 0:
             shutil.rmtree(out / "super")    # nothing left to summarize

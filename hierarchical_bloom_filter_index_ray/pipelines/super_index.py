@@ -175,7 +175,7 @@ def build_super_index(out_dir: str, cfg: HbiConfig) -> dict:
     ``out_dir/super/level=H`` plus ``super_meta.json``; returns the meta
     dict.
     """
-    from .build_index import PARTITIONS, load_manifest
+    from .build_index import PARTITIONS, load_manifest, write_json_atomic
 
     man = load_manifest(out_dir)
     if man is None:
@@ -229,7 +229,7 @@ def build_super_index(out_dir: str, cfg: HbiConfig) -> dict:
                         "node_id": pa.array(g["node_id"], pa.int64()),
                         "bloom": pa.array(list(g["bloom"]), pa.binary()),
                     }), str(d / "part-0.parquet"))
-        (out / SUPER_META).write_text(json.dumps(meta, indent=2))
+        write_json_atomic(out / SUPER_META, meta)
         return meta
 
     index_ds = rd.read_parquet(str(out / PARTITIONS), columns=cols)
@@ -272,7 +272,7 @@ def build_super_index(out_dir: str, cfg: HbiConfig) -> dict:
             lambda t, lv=top: t.filter(pc.equal(t["level"], lv)),
             batch_format="pyarrow").drop_columns(["level", "fill"])
         base = top
-    (out / SUPER_META).write_text(json.dumps(meta, indent=2))
+    write_json_atomic(out / SUPER_META, meta)
     return meta
 
 

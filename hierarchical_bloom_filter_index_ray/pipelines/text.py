@@ -405,10 +405,12 @@ def sample_mixture(ds: "rd.Dataset", budgets: dict[str, float], *,
             h = np.fromiter(
                 (hash_str_u64(str(v), seed) for v in ids.to_pylist()),
                 dtype=np.uint64, count=len(ids))
-        src = batch[source_col].to_pylist()
-        thr = np.fromiter(
-            (thresholds.get(s, np.uint64(0)) for s in src),
-            dtype=np.uint64, count=len(src))
+        enc = pc.dictionary_encode(batch[source_col].combine_chunks(),
+                                   null_encoding="encode")
+        per_code = np.array([thresholds.get(s, np.uint64(0))
+                             for s in enc.dictionary.to_pylist()],
+                            dtype=np.uint64)
+        thr = per_code[enc.indices.to_numpy(zero_copy_only=False)]
         return batch.filter(pa.array(h < thr))
 
     return ds.map_batches(keep, batch_format="pyarrow",

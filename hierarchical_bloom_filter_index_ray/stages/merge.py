@@ -52,32 +52,16 @@ def merge_payloads(payloads) -> dict:
     return acc
 
 
-def finalize_unique_partials(batch: pd.DataFrame, *, params_hash: str,
-                             policy: dict | None = None) -> pd.DataFrame:
-    """No-shuffle finalize: every partial row is already the only one for
-    its (source, window) key (verified by a keys-only aggregate before this
-    path is taken), so each row becomes an index row directly — the 900x
-    heavier payload shuffle is skipped entirely."""
-    if not len(batch):
-        # empty map block (PartialSketchBuilder can emit empty tables):
-        # return the index-row schema with zero rows instead of letting
-        # merge_partials_group hit iloc[0]
-        cols: dict[str, pd.Series] = {
-            "source": pd.Series([], dtype=object),
-            "window_id": pd.Series([], dtype="int64"),
-            "n_docs": pd.Series([], dtype="int64"),
-            "n_tokens": pd.Series([], dtype="int64"),
-            "params_hash": pd.Series([], dtype=object),
-        }
-        for kind in INDEX_BLOB_COLS:
-            cols[kind] = pd.Series([], dtype=object)
-        cols["root_bloom"] = pd.Series([], dtype=object)
-        cols["index_bytes"] = pd.Series([], dtype="int64")
-        return pd.DataFrame(cols)
-    out = [merge_partials_group(batch.iloc[i:i + 1], params_hash=params_hash,
-                                policy=policy)
-           for i in range(len(batch))]
-    return pd.concat(out, ignore_index=True)
+def finalize_unique_partials(group: pd.DataFrame, *,
+                             params_hash: str) -> pd.DataFrame:
+    """Verbatim finalize of a (source, window) that received exactly ONE
+    partial (the common case when batch boundaries align with windows)
+    and no memory policy: its serialized bytes are reused as they are —
+    no deserialize/merge/recompress round-trip."""
+    blobs = {k: ({int(lv): bytes(b) for lv, b in v.items()}
+                 if isinstance(v, dict) else bytes(v))
+             for k, v in pickle.loads(group["payload"].iloc[0]).items()}
+    return _index_row(group, blobs, params_hash)
 
 
 def merge_partials_group(group: pd.DataFrame, *, params_hash: str,
@@ -86,43 +70,42 @@ def merge_partials_group(group: pd.DataFrame, *, params_hash: str,
     partial rows of one (source, window) -> one index row with per-kind blob
     columns + stats. The ``bloom_tree`` column holds a pickled
     ``{level: bytes}`` dict (levels may be dropped by the memory policy).
-
-    Fast path: when the window received exactly ONE partial (the common
-    case when batch boundaries align with windows) and no policy is
-    active, its serialized bytes are reused verbatim — no
-    deserialize/merge/recompress round-trip.
+    A single partial with no policy takes ``finalize_unique_partials``.
     """
-    n_tokens_total = int(group["n_tokens"].sum())
     if len(group) == 1 and policy is None:
-        blobs = {k: ({int(lv): bytes(b) for lv, b in v.items()}
-                     if isinstance(v, dict) else bytes(v))
-                 for k, v in pickle.loads(group["payload"].iloc[0]).items()}
-    else:
-        merged = merge_payloads(group["payload"].tolist())
-        keep_from = 0
-        if policy is not None and "bloom_tree" in merged:
-            from ..pipelines.planner import memory_policy_level
-            cms = merged.get("cms")
-            sampler = merged.get("bottomk") or merged.get("hops")
-            if cms is not None and sampler is not None:
-                reps = sampler.sample_keys()
-                freqs = cms.estimate(reps) if len(reps) else []
-                keep_from = memory_policy_level(
-                    freqs, n_tokens_total, quantile=policy["quantile"],
-                    conf=policy["conf"], fp=policy["fp"],
-                    max_depth=policy["max_depth"])
-        blobs = {}
-        for k, v in merged.items():
-            if isinstance(v, dict):
-                blobs[k] = {lv: s.to_bytes() for lv, s in v.items()
-                            if lv >= keep_from}
-            else:
-                blobs[k] = v.to_bytes()
+        return finalize_unique_partials(group, params_hash=params_hash)
+    merged = merge_payloads(group["payload"].tolist())
+    keep_from = 0
+    if policy is not None and "bloom_tree" in merged:
+        from ..pipelines.planner import memory_policy_level
+        cms = merged.get("cms")
+        sampler = merged.get("bottomk") or merged.get("hops")
+        if cms is not None and sampler is not None:
+            reps = sampler.sample_keys()
+            freqs = cms.estimate(reps) if len(reps) else []
+            keep_from = memory_policy_level(
+                freqs, int(group["n_tokens"].sum()),
+                quantile=policy["quantile"], conf=policy["conf"],
+                fp=policy["fp"], max_depth=policy["max_depth"])
+    blobs = {}
+    for k, v in merged.items():
+        if isinstance(v, dict):
+            blobs[k] = {lv: s.to_bytes() for lv, s in v.items()
+                        if lv >= keep_from}
+        else:
+            blobs[k] = v.to_bytes()
+    return _index_row(group, blobs, params_hash)
+
+
+def _index_row(group: pd.DataFrame, blobs: dict,
+               params_hash: str) -> pd.DataFrame:
+    """The one index row of a (source, window) group from its finished
+    per-kind blobs (``bloom_tree`` as a ``{level: bytes}`` dict)."""
     row = {
         "source": [group["source"].iloc[0]],
         "window_id": [int(group["window_id"].iloc[0])],
         "n_docs": [int(group["n_docs"].sum())],
-        "n_tokens": [n_tokens_total],
+        "n_tokens": [int(group["n_tokens"].sum())],
         "params_hash": [params_hash],
     }
     total_bytes = 0

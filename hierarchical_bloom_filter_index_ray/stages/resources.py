@@ -5,6 +5,29 @@ from __future__ import annotations
 import ray
 
 
+def cluster_cpus() -> int | None:
+    """The Ray cluster's CPU count; None when no session is up yet."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 0)) or None
+    except Exception:
+        return None
+
+
+def check_pool_fits(concurrency, num_cpus: float, cpus: int | None) -> None:
+    """Reject an explicit actor-pool size (an int, or the max of a
+    ``(min, max)`` tuple) whose ``size * num_cpus`` takes all ``cpus``:
+    the pool holds every CPU and the upstream read never runs — the
+    wedge ``default_concurrency`` avoids (a 2-cpu build with
+    ``concurrency=2`` sat at 0 blocks for 150+ s). ``cpus=None``
+    (unknown) skips the check."""
+    size = max(concurrency) if isinstance(concurrency, tuple) else concurrency
+    if cpus is not None and size * num_cpus >= cpus:
+        raise ValueError(
+            f"concurrency={concurrency} x num_cpus={num_cpus} takes all "
+            f"{cpus} cluster CPUs; the read stage would never get one — "
+            "use a smaller pool, or concurrency=None for the default")
+
+
 def default_concurrency(reserve: int = 2, cap: int | None = None) -> int:
     """Actor-pool size: cluster CPUs minus a reserve for the read/write
     stages (a pool that takes every CPU starves the pipeline; see the Ray
@@ -14,10 +37,7 @@ def default_concurrency(reserve: int = 2, cap: int | None = None) -> int:
     reserve)`` handed BOTH cpus to the pool and the upstream read never
     got a slot — the build wedged at 0 blocks for 40+ minutes (found by
     the round-4 2-vs-8 scaling run)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
+    cpus = cluster_cpus() or 4
     n = max(1, min(cpus - 1, max(2, cpus - reserve)))
     if cap is not None:
         n = min(n, cap)

@@ -17,6 +17,8 @@ from hierarchical_bloom_filter_index_ray.functions import (
     flat_tokens_and_offsets, tokenize_documents)
 from hierarchical_bloom_filter_index_ray.pipelines import (
     build_index, load_index, load_manifest, membership_query)
+from hierarchical_bloom_filter_index_ray.pipelines.build_index import \
+    PARTITIONS
 from hierarchical_bloom_filter_index_ray.sources import (
     documents_as_sequences, synth_sequences)
 from hierarchical_bloom_filter_index_ray.state import sketch_from_bytes
@@ -161,9 +163,11 @@ class TestBuild:
                                                        tmp_path):
         """Same data, different batch partitioning -> byte-identical bloom
         trees, HLL registers and CMS tables (north_rule merge-associativity
-        evidence at the pipeline level)."""
+        evidence at the pipeline level). The whole-dataset batch gives
+        every window ONE partial, so its rows take the verbatim finalize
+        while the other two merge several partials per window."""
         outs = []
-        for bs in (32, 257):
+        for bs in (32, 257, 1 << 20):
             out = tmp_path / f"idx_{bs}"
             ds = documents_as_sequences("/root/testdata/sf0.001",
                                         seed=CFG.seed)
@@ -172,10 +176,14 @@ class TestBuild:
             idx["source"] = idx["source"].astype(str)
             outs.append(idx.sort_values(["source", "window_id"])
                         .reset_index(drop=True))
-        a, b = outs
-        assert len(a) == len(b)
-        for col in ("bloom_tree", "hll", "cms", "hops", "bottomk"):
-            assert (a[col] == b[col]).all(), col
+        a = outs[0]
+        for b in outs[1:]:
+            assert len(a) == len(b)
+            # kll_ntok is left out: its compaction depends on merge order
+            for col in ("bloom_tree", "hll", "cms", "hops", "bottomk",
+                        "tdigest_ntok", "root_bloom", "n_docs", "n_tokens",
+                        "index_bytes"):
+                assert (a[col] == b[col]).all(), col
 
 
 class TestQuery:
@@ -472,6 +480,29 @@ class TestResume:
             assert _drop_done(t, done, shard_windows).equals(
                 t.filter(pa.array(keep)))
 
+    def test_manifest_write_killed_midway_keeps_previous(self, tmp_path,
+                                                         monkeypatch):
+        """A manifest write that dies after half its bytes leaves the
+        previous manifest loadable (Ray-free: an index with no rows)."""
+        from pathlib import Path
+
+        from hierarchical_bloom_filter_index_ray.pipelines.build_index \
+            import _write_manifest
+        cfg = HbiConfig(seed=7, docs_per_window=32, hll_p=12)
+        _write_manifest(tmp_path, cfg, None, 1.0, {"a": [0]})
+        before = load_manifest(str(tmp_path))
+        real_write_text = Path.write_text
+
+        def dies_midway(self, data, *args, **kwargs):
+            real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("killed mid-write")
+        monkeypatch.setattr(Path, "write_text", dies_midway)
+        with pytest.raises(OSError, match="killed mid-write"):
+            _write_manifest(tmp_path, cfg, None, 2.0, {"a": [0, 1]})
+        monkeypatch.undo()
+        assert load_manifest(str(tmp_path)) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     def test_interleaved_ingest_and_query(self, ray_session, tmp_path):
         """Interleaved ingest/query (the reference queries every
         windowLength tokens mid-stream, ``ProcessStream.java:70-75``):
@@ -659,6 +690,66 @@ def test_default_concurrency_never_starves_the_read(ray_session,
         n = default_concurrency()
         assert 1 <= n <= max(1, cpus - 1), (cpus, n)
         assert n == want_max, (cpus, n)
+
+
+def test_pool_that_takes_every_cpu_is_rejected():
+    """A builder pool holding every cluster CPU starves the read: a 2-cpu
+    build with concurrency=2 sat at 0 blocks. Ray-free: the helper gets
+    the CPU count as an argument."""
+    from hierarchical_bloom_filter_index_ray.stages.resources import \
+        check_pool_fits
+    for conc, ncpu, cpus in ((2, 1.0, 2), ((1, 2), 1.0, 2), (1, 1.0, 1),
+                             (2, 2.0, 4), (3, 1.0, 2)):
+        with pytest.raises(ValueError, match="cluster CPUs"):
+            check_pool_fits(conc, ncpu, cpus)
+    for conc, ncpu, cpus in ((1, 1.0, 2), ((1, 1), 1.0, 2), (2, 0.5, 2),
+                             (3, 1.0, 4), (64, 1.0, None)):
+        check_pool_fits(conc, ncpu, cpus)
+
+
+def test_build_rejects_a_wedging_pool_before_any_work(ray_session,
+                                                      tmp_path):
+    """build_index refuses an explicit pool of every session CPU before
+    it deletes a file or touches the Dataset (``ds`` is not a Dataset,
+    so any Dataset call would fail with AttributeError, not hang)."""
+    import ray as ray_mod
+    cpus = int(ray_mod.cluster_resources()["CPU"])
+    stray = tmp_path / PARTITIONS / "source=a" / "part-0.parquet"
+    stray.parent.mkdir(parents=True)
+    stray.write_bytes(b"x")
+    with pytest.raises(ValueError, match="cluster CPUs"):
+        build_index(object(), CFG, str(tmp_path), concurrency=cpus)
+    assert stray.exists()
+
+
+def test_build_releases_its_actor_pool(ray_session, tmp_path):
+    """No builder actor outlives build_index. Ray Data keeps the partials'
+    block refs, which pin the pool, in a reference cycle; with automatic
+    GC off the pool would keep its CPUs after the call returned."""
+    import gc
+    import time
+
+    import ray as ray_mod
+
+    def settled_free_cpus(want):
+        deadline = time.monotonic() + 10
+        free = ray_mod.available_resources().get("CPU", 0)
+        while free != want and time.monotonic() < deadline:
+            time.sleep(0.2)
+            free = ray_mod.available_resources().get("CPU", 0)
+        return free
+    gc.collect()
+    before = settled_free_cpus(ray_mod.cluster_resources()["CPU"])
+    cfg = HbiConfig(seed=7, docs_per_window=32, hll_p=12, cms_eps=0.05,
+                    cms_delta=0.1)
+    gc.disable()
+    try:
+        build_index(synth_sequences(256, seed=9, n_sources=2, vocab=256),
+                    cfg, str(tmp_path), batch_size=64, concurrency=2,
+                    super_levels=False)
+        assert settled_free_cpus(before) == before
+    finally:
+        gc.enable()
 
 
 class TestMediaCli:
