@@ -1,5 +1,5 @@
-"""Pure-stdlib baseline media codecs (round-2 VERDICT #8: close the
-``decoder="real"`` seam with actual pixel/sample paths).
+"""Pure-stdlib baseline media codecs: the still-image and audio formats
+the media stages decode.
 
 PNG: greyscale / RGB / RGBA / palette at bit depths 1/2/4/8/16, both
 interlace methods (none and Adam7) — chunk parse + ``zlib`` inflate +
@@ -12,12 +12,10 @@ byte layout.
 
 BMP: Windows DIB, 8-bit palette / 24 / 32-bpp, either row order.
 
-These are correctness baselines: a production build swaps in SIMD
-codecs behind the same functions. The entropy-coded formats live in
-sibling modules (``jpeg.py``, ``gif.py``, ``tiff.py``, ``flac.py``;
-containers in ``mp4.py``/``webm.py``/``avi.py``); the remaining
-declared seam is only arithmetic/hierarchical JPEG and H.264/VP9/AV1
-sample decode — see the media matrix in README.md.
+The PNG and BMP decoders here, and the H.264 I_PCM lane in ``h264.py``,
+check the pixel count a header claims against ``MAX_PIXELS`` before
+they allocate. Containers live in ``mp4.py``/``webm.py``/``avi.py`` —
+see the media matrix in README.md.
 """
 
 from __future__ import annotations
@@ -26,6 +24,11 @@ import struct
 import zlib
 
 import numpy as np
+
+# decode-work cap: a frame whose header claims more pixels than this is
+# rejected before anything is allocated (one forged header must not OOM
+# the actor that decodes it)
+MAX_PIXELS = 1 << 27
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 # color type -> samples per pixel
@@ -163,43 +166,34 @@ def decode_png(payload: bytes) -> np.ndarray:
         raise ValueError(f"PNG color type {color} not supported")
     if not w or not h:
         raise ValueError("empty PNG dimensions")
+    if w * h > MAX_PIXELS:
+        raise ValueError(f"PNG {w}x{h} exceeds the MAX_PIXELS cap")
     ch = _PNG_CHANNELS[color]
+    # sub-images (x0, y0, dx, dy, w, h): the whole image, or Adam7's 7
+    # passes; the raster size follows from IHDR alone, so the inflate
+    # is bounded by it — a tiny IDAT must not inflate gigabytes
+    subs = [(xs, ys, dx, dy, (w - xs + dx - 1) // dx,
+             (h - ys + dy - 1) // dy)
+            for xs, ys, dx, dy in (_ADAM7 if interlace
+                                   else ((0, 0, 1, 1),))]
+    subs = [sub for sub in subs if sub[4] > 0 and sub[5] > 0]
+    sizes = [ph * (1 + (pw * ch * depth + 7) // 8) for *_, pw, ph in subs]
+    expect = sum(sizes)
     try:
-        inflated = zlib.decompress(b"".join(idat))
+        inflated = zlib.decompressobj().decompress(b"".join(idat),
+                                                   expect + 1)
     except zlib.error as ex:             # corrupt/truncated deflate
         raise ValueError(f"bad PNG IDAT stream: {ex}") from ex
+    if len(inflated) != expect:
+        raise ValueError("PNG raster length mismatch")
     raw = np.frombuffer(inflated, dtype=np.uint8)
     dt = np.uint16 if depth == 16 else np.uint8
-    if not interlace:
-        img = _decode_raster(raw, h, w, ch, depth).astype(dt)
-    else:                                # Adam7: 7 sub-image rasters
-        # validate the TOTAL raster size before allocating anything —
-        # a malformed IHDR must not make a tiny IDAT demand gigabytes
-        expect = 0
-        for xs, ys, dx, dy in _ADAM7:
-            pw = (w - xs + dx - 1) // dx
-            ph = (h - ys + dy - 1) // dy
-            if pw > 0 and ph > 0:
-                expect += ph * (1 + (pw * ch * depth + 7) // 8)
-        if raw.size != expect:
-            raise ValueError("PNG raster length mismatch")
-        img = np.zeros((h, w * ch), dtype=dt)
-        pos = 0
-        for xs, ys, dx, dy in _ADAM7:
-            pw = (w - xs + dx - 1) // dx
-            ph = (h - ys + dy - 1) // dy
-            if pw <= 0 or ph <= 0:
-                continue
-            stride = (pw * ch * depth + 7) // 8
-            size = ph * (1 + stride)
-            sub = _decode_raster(raw[pos:pos + size], ph, pw, ch,
-                                 depth).astype(dt)
-            pos += size
-            cols = (xs + dx * np.arange(pw))[:, None] * ch \
-                + np.arange(ch)
-            img[ys::dy, cols.reshape(-1)] = sub.reshape(ph, pw * ch)
-        if pos != raw.size:
-            raise ValueError("PNG raster length mismatch")
+    img = np.zeros((h, w, ch), dtype=dt)
+    pos = 0
+    for (xs, ys, dx, dy, pw, ph), size in zip(subs, sizes):
+        sub = _decode_raster(raw[pos:pos + size], ph, pw, ch, depth)
+        pos += size
+        img[ys::dy, xs::dx] = sub.reshape(ph, pw, ch)
     if color == 3:
         if plte is None:
             raise ValueError("palette PNG missing PLTE")
@@ -343,8 +337,12 @@ def decode_bmp(payload: bytes) -> np.ndarray:
         raise NotImplementedError(f"BMP compression {compression}")
     if bpp not in (8, 24, 32):
         raise NotImplementedError(f"{bpp}-bpp BMP")
+    if w <= 0 or h == 0:
+        raise ValueError(f"empty BMP dimensions {w}x{h}")
     top_down = h < 0
     h = abs(h)
+    if w * h > MAX_PIXELS:
+        raise ValueError(f"BMP {w}x{h} exceeds the MAX_PIXELS cap")
     stride = (w * bpp // 8 + 3) & ~3
     raw = np.frombuffer(payload[data_off:data_off + stride * h],
                         dtype=np.uint8)

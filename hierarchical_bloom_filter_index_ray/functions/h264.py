@@ -31,6 +31,8 @@ import struct
 
 import numpy as np
 
+from . import codecs
+
 # §7.3.2.1.1: profiles whose SPS carries the chroma/bit-depth block
 _HIGH_PROFILES = frozenset(
     (100, 110, 122, 244, 44, 83, 86, 118, 128, 138, 139, 134, 135))
@@ -212,8 +214,7 @@ def parse_sps(ebsp: bytes) -> dict:
 
 def h264_info(payload: bytes) -> dict:
     """One-call Annex B stream summary: dimensions/profile/level from
-    the first SPS, NAL-type census, keyframe count — the structural
-    analogue of ``mp3_info`` / ``ogg_info`` for video."""
+    the first SPS, NAL-type census, keyframe count."""
     nals = split_nals(payload)
     counts: dict[str, int] = {}
     sps = None
@@ -241,8 +242,7 @@ def cut_points(payload: bytes) -> np.ndarray:
     """Byte offsets where decode can restart: the start of each IDR
     access unit, extended backwards over the immediately preceding
     contiguous run of SPS/PPS/SEI/AUD NALs (types 7/8/6/9) so a carve
-    beginning there carries its own parameter sets — the video
-    analogue of ``mp3.cut_points``'s reservoir-safe frames."""
+    beginning there carries its own parameter sets."""
     nals = split_nals(payload)
     cuts = []
     for i, n in enumerate(nals):
@@ -718,14 +718,12 @@ def decode_h264_ipcm(payload: bytes) -> dict:
 
 
 def _decode_ipcm_checked(payload: bytes) -> dict:
-    import os
     nals = split_nals(payload)
     sps = pps = None
     frames_y: list[np.ndarray] = []
     frames_cb: list[np.ndarray] = []
     frames_cr: list[np.ndarray] = []
     cur = None                         # (y, cb, cr, filled mb flags)
-    max_px = int(os.environ.get("HBI_JPEG_MAX_PIXELS", 1 << 27))
     for nal in nals:
         ebsp = payload[nal["data_off"]:nal["data_off"] + nal["size"]]
         t = nal["type"]
@@ -739,10 +737,10 @@ def _decode_ipcm_checked(payload: bytes) -> dict:
                     "declared seam")
             if not sps["frame_mbs_only"]:
                 raise NotImplementedError("field/MBAFF coding")
-            if sps["width"] * sps["height"] > max_px:
+            if sps["width"] * sps["height"] > codecs.MAX_PIXELS:
                 raise ValueError(
                     f"frame {sps['width']}x{sps['height']} exceeds "
-                    f"the HBI_JPEG_MAX_PIXELS cap ({max_px})")
+                    f"the MAX_PIXELS cap ({codecs.MAX_PIXELS})")
         elif t == 8:
             pps = _parse_pps_min(ebsp)
             if pps["cabac"]:
@@ -859,11 +857,10 @@ def _decode_ipcm_slice(ebsp: bytes, sps: dict, pps: dict, cur):
 
 def decode_h264(payload: bytes) -> np.ndarray:
     """Decode an Annex B H.264 stream through the I_PCM lane: returns
-    (n, h, w, 3) uint8 RGB frames (full-range BT.601, the same
-    transform the JPEG path uses — exact for our flat-chroma grey
-    encodes). Streams using predicted/transform-coded macroblocks
-    (CAVLC residuals / CABAC — i.e. virtually all crawled video)
-    raise NotImplementedError: that entropy/prediction layer is the
+    (n, h, w, 3) uint8 RGB frames (full-range BT.601 — exact for our
+    flat-chroma grey encodes). Streams using predicted/transform-coded
+    macroblocks (CAVLC residuals / CABAC — i.e. virtually all crawled
+    video) raise NotImplementedError: that entropy/prediction layer is the
     declared codec seam. The structural layer (NAL demux, SPS
     parameters, keyframe cut points, avcC conversion) is real either
     way."""

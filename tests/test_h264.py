@@ -2,8 +2,7 @@
 bit-by-bit from the ITU-T H.264 §7.3.2.1.1 field order by an
 independent test-side Exp-Golomb writer (including test-side
 emulation-prevention insertion) — the parser is never checked against
-its own output conventions, mirroring the JPEG/FLAC/MP3/Ogg test
-strategy."""
+its own output conventions."""
 
 import struct
 
@@ -508,7 +507,8 @@ class TestIpcmLane:
             h264.h264_remux_mp4(b"\x00\x00\x00\x01\x67\x42\x00\x1e")
 
     def test_fuzz_ipcm_stream(self, monkeypatch):
-        monkeypatch.setenv("HBI_JPEG_MAX_PIXELS", str(1 << 16))
+        from hierarchical_bloom_filter_index_ray.functions import codecs
+        monkeypatch.setattr(codecs, "MAX_PIXELS", 1 << 16)
         rng = np.random.default_rng(23)
         enc = h264.encode_h264_ipcm(
             rng.integers(0, 256, (2, 32, 32)).astype(np.uint8))
