@@ -807,14 +807,18 @@ def _q_doc_fingerprints(sf_dir: str):
 
 
 def _q_media_features(sf_dir: str):
-    """REAL decode paths: synthetic PGM + PNG + WAV + BMP + Annex B
-    H.264 (I_PCM) + PNG-framed video (mp4, webm, avi) corpora
-    featurized through the actor-pool stage — the magic-byte
-    ``decoder="real"`` dispatch over the pure-numpy codecs
-    (``functions/codecs.py``, ``functions/h264.py``; video thumbnails
-    demux via ``functions/{mp4,webm,avi}.py`` to their middle
-    keyframe). concurrency=2 keeps the pool + read tasks schedulable at
-    the driver's small num_cpus."""
+    """REAL decode paths: synthetic PGM + PNG + WAV + JPEG (baseline
+    and lossless) + GIF + BMP + TIFF + FLAC + MP3 (Layer III sample
+    decode via the profile codec) + Motion-JPEG (mp4, webm, avi)
+    corpora featurized through the actor-pool stage — PGM through
+    its dedicated decoder, the rest through the magic-byte
+    ``decoder="real"`` dispatch over the from-scratch pure-numpy
+    codecs (``functions/codecs.py``, ``functions/jpeg.py``,
+    ``functions/gif.py``, ``functions/tiff.py``, ``functions/flac.py``,
+    ``functions/mp3dec.py``; video thumbnails demux via
+    ``functions/{mp4,webm,avi}.py`` to their middle keyframe).
+    concurrency=1 keeps the pools + read tasks schedulable at the
+    driver's small num_cpus."""
     import pyarrow as pa
 
     from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (
@@ -829,11 +833,15 @@ def _q_media_features(sf_dir: str):
 
     # union the PAYLOAD datasets first (no actors), then featurize the
     # whole mixed corpus through ONE actor pool — per-kind pools would
-    # put one pool per kind in one streaming plan and starve each other
+    # put 12 one-CPU pools in one streaming plan and starve each other
     # at the driver's small num_cpus
     kinds = [("pgm", 64, 8), ("png", 32, 8), ("wav", 32, 8),
-             ("mp4", 16, 6), ("bmp", 16, 8), ("webm", 8, 6),
-             ("avi", 8, 6), ("h264", 8, 6)]
+             ("jpeg", 32, 8), ("mp4", 16, 6), ("gif", 16, 6),
+             ("bmp", 16, 8), ("tiff", 16, 8), ("jpeg_ll", 16, 8),
+             ("jpeg_arith", 16, 8), ("jpeg_hier", 16, 8),
+             ("jpeg_hier_arith", 16, 8),
+             ("flac", 16, 8), ("webm", 8, 6), ("avi", 8, 6),
+             ("mp3", 8, 6), ("ogg", 8, 6), ("h264", 8, 6)]
     corpus = None
     for off, (kind, n, frames) in enumerate(kinds):
         ds = synth_media(n, seed=SEED, kind=kind,

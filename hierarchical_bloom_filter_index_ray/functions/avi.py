@@ -1,4 +1,5 @@
-"""Pure-stdlib AVI (RIFF) demuxer/muxer (OpenDML/AVI 1.0).
+"""Pure-stdlib AVI (RIFF) demuxer/muxer — the classic Motion-JPEG
+container (OpenDML/AVI 1.0).
 
 Spec: Microsoft AVI RIFF File Reference + OpenDML AVI extensions.
 Demux walks the RIFF/LIST chunk tree: ``hdrl`` (``avih`` main header,
@@ -9,12 +10,11 @@ index (AVIIF_KEYFRAME flags -> sync samples). Tracks resolve to the
 same shape as ``Mp4Track``/``WebmTrack`` (absolute byte ranges +
 keyframe indices) so the frame-sampling pipeline stages are
 container-agnostic. Mux writes a single-video-stream AVI 1.0 with an
-``idx1`` index.
+``idx1`` index; ``codec="MJPG"`` with JPEG payloads is Motion-JPEG.
 
-Demux/seek/extract here is codec-independent: the media stages decode
-the frames whose bytes are a kept format (PNG/BMP/PGM, Annex B H.264
-I_PCM — README media matrix); any other frame codec meets their
-``NotImplementedError``.
+Sample DECODE beyond MJPEG (DIB frames pass through to the BMP/raw
+path) stays the declared codec seam; demux/seek/extract here is
+codec-independent (README media matrix).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class AviTrack:
     sorted int64 array of keyframe indices or None (= all sync)."""
     track_id: int
     handler: str                 # "vide" | "soun" | other
-    codec: str                   # strh fccHandler, e.g. "MPNG"
+    codec: str                   # strh fccHandler, e.g. "MJPG"
     width: int
     height: int
     timescale: int               # dwRate (ticks/second)
@@ -191,13 +191,13 @@ def _chunk(fcc: bytes, body: bytes) -> bytes:
         + (b"\x00" if len(body) & 1 else b"")
 
 
-def encode_avi_video(frames: list[bytes], *, codec: str = "MPNG",
+def encode_avi_video(frames: list[bytes], *, codec: str = "MJPG",
                      width: int, height: int, fps: int = 30,
                      sync_every: int = 1) -> bytes:
     """Mux per-frame payloads into a single-video-stream AVI 1.0 with
     an idx1 index; every ``sync_every``-th frame is flagged
-    AVIIF_KEYFRAME (``sync_every=1`` -> all keyframes, the truth for
-    still-image frames such as the default ``MPNG``)."""
+    AVIIF_KEYFRAME (``sync_every=1`` -> all keyframes, the MJPEG
+    truth)."""
     if not frames:
         raise ValueError("need at least one frame")
     n = len(frames)

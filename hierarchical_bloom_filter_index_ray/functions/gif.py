@@ -24,6 +24,8 @@ import struct
 
 import numpy as np
 
+from . import codecs
+
 _INTERLACE_PASSES = ((0, 8), (4, 8), (2, 4), (1, 2))
 
 
@@ -237,14 +239,13 @@ def decode_gif(payload: bytes) -> tuple[np.ndarray, list[int]]:
     # GIF claiming a 65535x65535 screen would allocate ~12.9 GB for the
     # canvas (x n_frames for the output stack) even though its one
     # frame is LZW-bounded. Cap composited pixels like jpeg.py caps
-    # frame pixels (same env knob), BEFORE any allocation, so the
+    # frame pixels (codecs.MAX_PIXELS), BEFORE any allocation, so the
     # failure is a ValueError the on_error="skip" net catches.
-    import os
-    max_px = int(os.environ.get("HBI_JPEG_MAX_PIXELS", 1 << 27))
+    max_px = codecs.MAX_PIXELS
     if h * w > max_px or len(g["frames"]) * h * w > max_px:
         raise ValueError(
             f"GIF screen {w}x{h} x {len(g['frames'])} frames exceeds "
-            f"the HBI_JPEG_MAX_PIXELS cap ({max_px})")
+            f"the MAX_PIXELS cap ({max_px})")
     canvas = np.zeros((h, w, 3), dtype=np.uint8)
     first = g["frames"][0]
     if first["palette"] is not None and g["bg"] < len(first["palette"]):

@@ -214,7 +214,8 @@ def parse_sps(ebsp: bytes) -> dict:
 
 def h264_info(payload: bytes) -> dict:
     """One-call Annex B stream summary: dimensions/profile/level from
-    the first SPS, NAL-type census, keyframe count."""
+    the first SPS, NAL-type census, keyframe count — the structural
+    analogue of ``mp3_info`` / ``ogg_info`` for video."""
     nals = split_nals(payload)
     counts: dict[str, int] = {}
     sps = None
@@ -242,7 +243,8 @@ def cut_points(payload: bytes) -> np.ndarray:
     """Byte offsets where decode can restart: the start of each IDR
     access unit, extended backwards over the immediately preceding
     contiguous run of SPS/PPS/SEI/AUD NALs (types 7/8/6/9) so a carve
-    beginning there carries its own parameter sets."""
+    beginning there carries its own parameter sets — the video
+    analogue of ``mp3.cut_points``'s reservoir-safe frames."""
     nals = split_nals(payload)
     cuts = []
     for i, n in enumerate(nals):
@@ -857,10 +859,11 @@ def _decode_ipcm_slice(ebsp: bytes, sps: dict, pps: dict, cur):
 
 def decode_h264(payload: bytes) -> np.ndarray:
     """Decode an Annex B H.264 stream through the I_PCM lane: returns
-    (n, h, w, 3) uint8 RGB frames (full-range BT.601 — exact for our
-    flat-chroma grey encodes). Streams using predicted/transform-coded
-    macroblocks (CAVLC residuals / CABAC — i.e. virtually all crawled
-    video) raise NotImplementedError: that entropy/prediction layer is the
+    (n, h, w, 3) uint8 RGB frames (full-range BT.601, the same
+    transform the JPEG path uses — exact for our flat-chroma grey
+    encodes). Streams using predicted/transform-coded macroblocks
+    (CAVLC residuals / CABAC — i.e. virtually all crawled video)
+    raise NotImplementedError: that entropy/prediction layer is the
     declared codec seam. The structural layer (NAL demux, SPS
     parameters, keyframe cut points, avcC conversion) is real either
     way."""

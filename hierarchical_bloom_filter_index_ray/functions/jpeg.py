@@ -39,6 +39,14 @@ import struct
 
 import numpy as np
 
+from . import codecs
+
+# lockstep vectorized entropy decode of a baseline scan starts at this
+# many independent restart intervals (measured break-even; below it the
+# scalar loop's lower constant wins — 2.6-4.8x at DRI=1, parity at 32
+# lanes)
+VEC_MIN_INTERVALS = 32
+
 # zigzag scan order: index i of the scan -> position in the 8x8 block
 # (T.81 Figure 5), stored as the flat natural-order index.
 ZIGZAG = np.array([
@@ -635,13 +643,10 @@ def _decode_scan(scan: dict, comps: list[dict], geom, coef,
     intervals = _unstuff(scan["data"])
     per_int = scan["restart"] or len(units)
     if not progressive and units:
-        import os
         n_streams = (len(units) + per_int - 1) // per_int
-        # >= 32 independent restart intervals: lockstep numpy decode
+        # enough independent restart intervals: lockstep numpy decode
         # amortizes the per-symbol interpreter cost across intervals
-        # (measured break-even; below it the scalar loop's lower
-        # constant wins — 2.6-4.8x at DRI=1, parity at 32 lanes)
-        if n_streams >= 32 and os.environ.get("HBI_JPEG_VEC", "1") != "0":
+        if n_streams >= VEC_MIN_INTERVALS:
             _decode_seq_vec(units, intervals, tabs, coef, per_int)
             return
     pos = 0
@@ -885,17 +890,15 @@ def _decode_planes(payload: bytes, *, differential: bool = False
         i += 2 + seg_len
     if not scans or not width or not height or not comps:
         raise ValueError("no scan data / frame header")
-    import os
-    max_px = int(os.environ.get("HBI_JPEG_MAX_PIXELS", 1 << 27))
-    if width * height > max_px:
+    if width * height > codecs.MAX_PIXELS:
         # progressive EOB runs (and pathological lossless tables) make
         # a tiny stream able to claim a gigapixel frame, so size cannot
         # be validated against payload length — cap decoded pixels
-        # (env-tunable) instead of letting one malformed row allocate
-        # the worker's whole heap
+        # (codecs.MAX_PIXELS) instead of letting one malformed row
+        # allocate the worker's whole heap
         raise ValueError(
             f"JPEG dimensions {width}x{height} exceed the "
-            f"HBI_JPEG_MAX_PIXELS cap ({max_px})")
+            f"MAX_PIXELS cap ({codecs.MAX_PIXELS})")
     if lossless:
         planes = _decode_lossless(scans, comps, width, height, prec,
                                   differential=differential)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codecs
 from .jpeg import (ZIGZAG, _A, _pad_edge, _quality_table, _quantize,
                    _QUANT_LUMA, _seg, _tile_blocks)
 
@@ -538,7 +539,6 @@ def _decode_arith_planes(payload: bytes, *, allow_differential:
     accepts the SOF13 (0xCD) differential-sequential marker — only the
     hierarchical decoder passes it; a standalone differential frame is
     malformed (T.81 B.2/J.1)."""
-    import os
     if payload[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG (missing SOI)")
     if PROFILE_TAG not in payload:
@@ -608,11 +608,10 @@ def _decode_arith_planes(payload: bytes, *, allow_differential:
         i += 2 + seg_len
     if qtab is None or scan_data is None or not width or not height:
         raise ValueError("missing DQT/SOF9/SOS")
-    max_px = int(os.environ.get("HBI_JPEG_MAX_PIXELS", 1 << 27))
-    if width * height > max_px:
+    if width * height > codecs.MAX_PIXELS:
         raise ValueError(
             f"image {width}x{height} exceeds the "
-            f"HBI_JPEG_MAX_PIXELS cap ({max_px})")
+            f"MAX_PIXELS cap ({codecs.MAX_PIXELS})")
     nbx = (width + 7) // 8
     nby = (height + 7) // 8
     nblocks = nbx * nby

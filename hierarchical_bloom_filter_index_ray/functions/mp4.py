@@ -9,13 +9,13 @@ absolute file offset, size, decode timestamp and keyframe flag. That is
 exactly what the reference's frame-sampling stage needs (seek to the
 k-th frame / nearest keyframe and hand the payload to a decoder).
 
-The demuxer never reads inside a sample: demux, frame sampling,
-keyframe seek and per-sample byte extraction work for any conformant
-file, whatever its codec. The media stages then decode the samples
-whose bytes are a kept format (``png ``/``pgm `` stills through
-``functions/codecs.py``, ``avc1`` through the H.264 I_PCM lane —
-README media matrix); any other sample codec meets their
-``NotImplementedError``.
+Sample payload decode stays codec-dependent: tracks whose sample entry
+is ``jpeg`` (Motion-JPEG in MP4, a real and common archival format) or
+``png ``/``pgm `` flow straight through the repo's from-scratch codecs
+(``functions/jpeg.py`` / ``functions/codecs.py``); H.264/H.265/VP9/AV1
+sample DECODE remains the declared seam (README media matrix) — but
+demux, frame sampling, keyframe seek and per-sample byte extraction are
+real for any conformant file.
 
 The muxer writes a minimal conformant single-video-track file
 (``ftyp`` + ``mdat`` + trailing ``moov``) used by the synthetic media
@@ -87,7 +87,7 @@ class Mp4Track:
     indices (``None`` means every sample is a sync sample, per spec)."""
     track_id: int
     handler: str                 # "vide" | "soun" | other fourcc
-    codec: str                   # sample-entry fourcc, e.g. "avc1"
+    codec: str                   # sample-entry fourcc, e.g. "jpeg"
     width: int
     height: int
     timescale: int
@@ -351,16 +351,15 @@ _UNITY_MATRIX = struct.pack(">9i", 0x10000, 0, 0, 0, 0x10000, 0, 0, 0,
                             0x40000000)
 
 
-def encode_mp4_video(frames: list[bytes], *, codec: bytes = b"png ",
+def encode_mp4_video(frames: list[bytes], *, codec: bytes = b"jpeg",
                      width: int, height: int, timescale: int = 30,
                      frame_duration: int = 1, sync_every: int = 1,
                      codec_config: tuple[bytes, bytes] | None = None,
                      sync_samples: list[int] | None = None) -> bytes:
     """Mux per-frame payloads into a single-video-track MP4.
 
-    ``codec`` is the sample-entry fourcc. With still-image samples
-    (the default ``png ``) every sample is independently decodable,
-    so ``sync_every`` > 1 merely
+    ``codec=b"jpeg"`` with JPEG payloads is Motion-JPEG in MP4 — every
+    sample is independently decodable, so ``sync_every`` > 1 merely
     exercises the keyframe-seek path. Layout: ftyp, mdat, moov (trailing
     moov keeps chunk offsets computable in one pass). One chunk per
     ``sync_every`` samples so stsc/stco have real multi-chunk structure.

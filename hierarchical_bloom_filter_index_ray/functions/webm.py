@@ -10,12 +10,12 @@ offset, size, decode timestamp and keyframe flag, including all three
 Matroska lacing modes (Xiph, fixed, EBML) and unknown-size Segments /
 Clusters as written by live-streaming muxers.
 
-The demuxer never reads inside a frame: demux, frame sampling,
-keyframe seek and per-frame byte extraction work for any conformant
-file, whatever its codec. The media stages then decode the frames
-whose bytes are a kept format (PNG/BMP/PGM, Annex B H.264 I_PCM —
-README media matrix); any other frame codec meets their
-``NotImplementedError``.
+Frame payload decode stays codec-dependent: tracks whose ``CodecID`` is
+``V_MJPEG`` (Motion-JPEG in Matroska, a real archival format) flow
+straight through the repo's from-scratch JPEG codec
+(``functions/jpeg.py``); VP8/VP9/AV1 frame DECODE remains the declared
+seam (README media matrix) — but demux, frame sampling, keyframe seek
+and per-frame byte extraction are real for any conformant file.
 
 The muxer writes a minimal conformant single-video-track file (EBML
 header + Segment with Info/Tracks and one Cluster per keyframe group of
@@ -160,7 +160,7 @@ class WebmTrack:
     (``None`` means every frame is a keyframe)."""
     track_id: int
     handler: str                 # "vide" | "soun" | other
-    codec: str                   # CodecID, e.g. "V_PNG"
+    codec: str                   # CodecID, e.g. "V_MJPEG"
     width: int
     height: int
     timescale: int
@@ -398,16 +398,15 @@ def _uint_el(eid: int, v: int) -> bytes:
     return _el(eid, v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big"))
 
 
-def encode_webm_video(frames: list[bytes], *, codec: str = "V_PNG",
+def encode_webm_video(frames: list[bytes], *, codec: str = "V_MJPEG",
                       width: int, height: int, timescale: int = 30,
                       frame_duration: int = 1, sync_every: int = 1
                       ) -> bytes:
     """Mux per-frame payloads into a single-video-track WebM/Matroska.
 
-    ``codec`` is written verbatim as the CodecID. With still-image
-    frames (the default ``V_PNG``) every frame is independently
-    decodable, so ``sync_every`` > 1 merely exercises the
-    keyframe-seek path: one Cluster per ``sync_every``
+    ``codec="V_MJPEG"`` with JPEG payloads is Motion-JPEG in Matroska —
+    every frame independently decodable, so ``sync_every`` > 1 merely
+    exercises the keyframe-seek path: one Cluster per ``sync_every``
     frames, keyframe flag on each cluster's first SimpleBlock only.
     ``timescale`` is ticks/second (TimestampScale = 1e9/timescale ns).
     """
@@ -441,5 +440,129 @@ def encode_webm_video(frames: list[bytes], *, codec: str = "V_PNG",
             body.append(_el(_SIMPLE_BLOCK,
                             b"\x81" + struct.pack(">h", rel)
                             + bytes([flags]) + frames[i]))
+        clusters.append(_el(_CLUSTER, b"".join(body)))
+    return header + _el(_SEGMENT, info + tracks + b"".join(clusters))
+
+
+# ------------------------------------------------------- audio (Vorbis) ----
+
+def audio_track(payload: bytes) -> WebmTrack:
+    """First audio track."""
+    for t in parse_webm(payload):
+        if t.handler == "soun":
+            return t
+    raise ValueError("no audio track in webm payload")
+
+
+def split_xiph_private(priv: bytes) -> list[bytes]:
+    """CodecPrivate for Vorbis-in-Matroska: Xiph lacing of the three
+    header packets — count byte (must be 2 = n-1), 255-run sizes for
+    the first two, remainder is the third (Matroska codec spec)."""
+    if not priv or priv[0] != 2:
+        raise ValueError("CodecPrivate is not 3 Xiph-laced packets")
+    sizes = []
+    pos = 1
+    for _ in range(2):
+        n = 0
+        while True:
+            if pos >= len(priv):
+                raise ValueError("truncated Xiph lacing")
+            b = priv[pos]
+            pos += 1
+            n += b
+            if b < 255:
+                break
+        sizes.append(n)
+    out = []
+    for n in sizes:
+        if pos + n > len(priv):
+            raise ValueError("Xiph lacing overruns CodecPrivate")
+        out.append(priv[pos:pos + n])
+        pos += n
+    out.append(priv[pos:])
+    return out
+
+
+def _xiph_private(pkts: list[bytes]) -> bytes:
+    assert len(pkts) == 3
+    out = bytearray([2])
+    for p in pkts[:2]:
+        n = len(p)
+        out += b"\xff" * (n // 255) + bytes([n % 255])
+    for p in pkts:
+        out += p
+    return bytes(out)
+
+
+def decode_webm_audio(payload: bytes) -> tuple["np.ndarray", int]:
+    """Decode the first audio track (A_VORBIS) to PCM (n, channels):
+    CodecPrivate carries the three Vorbis headers (Xiph lacing), each
+    block frame is one Vorbis audio packet. A_OPUS remains the declared
+    Opus seam."""
+    trk = audio_track(payload)
+    if trk.codec == "A_OPUS":
+        raise NotImplementedError(
+            "Opus sample decode is the declared codec seam (normative "
+            "RFC 6716 codebooks); A_VORBIS decodes fully")
+    if trk.codec != "A_VORBIS":
+        raise ValueError(f"unsupported webm audio codec {trk.codec!r}")
+    from .vorbis import decode_vorbis_packets
+
+    if trk.codec_private is None:
+        raise ValueError("A_VORBIS track without CodecPrivate headers")
+    headers = split_xiph_private(trk.codec_private)
+    frames = [extract_sample(payload, trk, i)
+              for i in range(trk.n_samples)]
+    pcm, rate = decode_vorbis_packets(headers + frames, None)
+    if trk.duration and trk.timescale:
+        total = round(trk.duration * rate / trk.timescale)
+        if 0 < total < len(pcm):
+            pcm = pcm[:total]
+    return pcm, rate
+
+
+def encode_webm_audio(pcm, rate: int, *, packets_per_cluster: int = 16,
+                      **vorbis_kwargs) -> bytes:
+    """PCM → audio-only WebM with an A_VORBIS track: subset Vorbis
+    encoder + Xiph-laced CodecPrivate, one packet per SimpleBlock,
+    millisecond timestamp scale."""
+    import numpy as _np
+
+    from .vorbis import encode_vorbis_packets
+
+    pkts, total, granules = encode_vorbis_packets(pcm, rate,
+                                                  **vorbis_kwargs)
+    channels = 1 if _np.asarray(pcm).ndim == 1 \
+        else _np.asarray(pcm).shape[1]
+    header = _el(_EBML, b"".join([
+        _uint_el(0x4286, 1), _uint_el(0x42F7, 1),
+        _uint_el(0x42F2, 4), _uint_el(0x42F3, 8),
+        _el(_DOCTYPE, b"webm"),
+        _uint_el(0x4287, 2), _uint_el(0x4285, 2)]))
+    ts_scale = 1_000_000                     # 1 ms ticks
+    dur_ms = float(total) * 1000.0 / rate
+    info = _el(_INFO, b"".join([
+        _uint_el(_TIMESTAMP_SCALE, ts_scale),
+        _el(_DURATION, struct.pack(">d", dur_ms)),
+        _el(_MUXING_APP, b"hbir"), _el(_WRITING_APP, b"hbir")]))
+    tracks = _el(_TRACKS, _el(_TRACK_ENTRY, b"".join([
+        _uint_el(_TRACK_NUMBER, 1), _uint_el(_TRACK_UID, 1),
+        _uint_el(_FLAG_LACING, 0), _uint_el(_TRACK_TYPE, 2),
+        _el(_CODEC_ID, b"A_VORBIS"),
+        _el(_CODEC_PRIVATE, _xiph_private(pkts[:3])),
+        _el(_AUDIO, _el(_SAMPLING_FREQ, struct.pack(">f", float(rate)))
+            + _uint_el(_CHANNELS, channels))])))
+    audio = pkts[3:]
+    agrans = granules[3:]
+    clusters = []
+    for first in range(0, len(audio), packets_per_cluster):
+        chunk = audio[first:first + packets_per_cluster]
+        t0 = round(agrans[first] * 1000.0 / rate)
+        body = [_uint_el(_CLUSTER_TS, t0)]
+        for j, frame in enumerate(chunk):
+            t = round(agrans[first + j] * 1000.0 / rate)
+            body.append(_el(_SIMPLE_BLOCK,
+                            b"\x81" + struct.pack(">h", t - t0)
+                            + b"\x80" + frame))
         clusters.append(_el(_CLUSTER, b"".join(body)))
     return header + _el(_SEGMENT, info + tracks + b"".join(clusters))

@@ -3,19 +3,22 @@
 Images/audio/video are opaque ``binary`` columns with typed metadata.
 Three decoder modes:
 
-- ``decoder="pgm"`` — binary PGM (P5) images, parsed and resized in
-  pure numpy: actual pixels flow through decode -> feature-extract ->
-  resize. The matching ``decoder="pgmv"`` on :class:`FrameSampler`
-  splits a pgmv container (concatenated P5 frames) and uniformly
-  samples real frames.
+- ``decoder="pgm"`` — a REAL decode path for binary PGM (P5) images,
+  parsed and resized in pure numpy (no codec library needed): actual
+  pixels flow through decode -> feature-extract -> resize. The matching
+  ``decoder="pgmv"`` on :class:`FrameSampler` splits a pgmv container
+  (concatenated P5 frames) and uniformly samples real frames.
 - ``decoder="fake"`` — deterministic stand-in features that exercise the
   Ray-side plumbing (schema, batch sizing, actor signature, layout).
-- ``decoder="real"`` — magic-byte dispatch over the kept formats
-  (``KEPT_FORMATS``): PNG, BMP, PGM and RIFF/WAVE PCM through
-  ``functions/codecs.py``; MP4, Matroska/WebM and AVI demux through
-  ``functions/{mp4,webm,avi}.py``; Annex B H.264 and ``avc1``-in-MP4
-  through the I_PCM lane of ``functions/h264.py``. Every other payload
-  meets each stage's one ``NotImplementedError`` (README media matrix).
+- ``decoder="real"`` — REAL codecs from ``functions/`` (pure numpy +
+  stdlib zlib/struct), dispatched by payload magic bytes: PNG, GIF,
+  BMP, TIFF and the JPEG family for images; RIFF/WAVE, FLAC, MP3 and
+  Ogg-Vorbis for audio; MP4/WebM/AVI demux (the middle keyframe's
+  sample is decoded again through this dispatch, so Motion-JPEG and
+  avc1 tracks decode end-to-end) and the Annex B H.264 I_PCM lane.
+  P5 payloads fall through to the PGM path. H.264 predicted-MB,
+  VP9/AV1 and Opus sample decode remain a declared
+  ``NotImplementedError`` seam (README media matrix).
 """
 
 from __future__ import annotations
@@ -114,20 +117,6 @@ MEDIA_SCHEMA = pa.schema([
 ])
 
 
-# what the ``decoder="real"`` stages accept; anything else raises the
-# stage's NotImplementedError, which names these
-KEPT_FORMATS = "PNG/BMP/PGM/WAV, MP4/WebM/AVI, Annex B H.264 (I_PCM)"
-_PNG_SIG = b"\x89PNG\r\n\x1a\n"
-
-
-def _is_frame(payload: bytes) -> bool:
-    """Magic-byte test for the frame formats a video sample may carry:
-    PNG, BMP, PGM stills or an Annex B H.264 unit."""
-    from ..functions.h264 import is_annexb
-    return payload[:8] == _PNG_SIG or payload[:2] in (b"BM", b"P5") \
-        or is_annexb(payload)
-
-
 def _container_module(payload: bytes):
     """Magic-byte dispatch to the video-container demuxer whose API this
     payload speaks (all three modules expose ``video_track`` /
@@ -167,29 +156,90 @@ class MediaFeatureExtractor:
 
     def _real_features(self, payload: bytes,
                        depth: int = 0) -> np.ndarray:
-        """Dispatch on payload magic bytes: PNG, BMP, WAV and P5 decode
-        through the pure-numpy codecs; MP4, Matroska/WebM and AVI
-        demux to their middle keyframe; Annex B H.264 and avc1-in-MP4
-        decode through the I_PCM lane."""
+        """Dispatch on payload magic bytes: PNG, GIF, BMP, WAV, FLAC,
+        JPEG (baseline, extended 12-bit, progressive, lossless,
+        profile-tagged arithmetic, hierarchical incl. arithmetic
+        pyramid) and P5 decode through the pure-numpy codecs; MP4,
+        Matroska/WebM and AVI demux to their middle keyframe; Annex B
+        H.264 and avc1-in-MP4 decode through the I_PCM lane. What
+        remains of the codec seam: predicted-MB H.264 (CAVLC/CABAC),
+        VP9/AV1 tile decode and Opus (their structural layers —
+        ``h264.py``, ``vp9av1.py``, ``ogg.py`` — are real)."""
         from ..functions.codecs import decode_bmp, decode_png, \
             decode_wav, is_bmp, wav_features
-        from ..functions.h264 import decode_h264, is_annexb, \
-            mp4_h264_sample_annexb
-        if payload[:8] == _PNG_SIG:
+        from ..functions.gif import decode_gif_first, is_gif
+        if payload[:8] == b"\x89PNG\r\n\x1a\n":
             img = decode_png(payload)
             if img.ndim == 3:          # luma approximation for features
                 img = img.mean(axis=2).astype(np.uint8)
+            return pgm_features(img, self.feature_dim)
+        if is_gif(payload):
+            img = decode_gif_first(payload).mean(axis=2).astype(np.uint8)
             return pgm_features(img, self.feature_dim)
         if is_bmp(payload):
             img = decode_bmp(payload)
             if img.ndim == 3:
                 img = img.mean(axis=2).astype(np.uint8)
             return pgm_features(img, self.feature_dim)
+        if payload[:4] in (b"II*\x00", b"MM\x00*"):
+            from ..functions.tiff import decode_tiff
+            img = decode_tiff(payload)
+            if img.ndim == 3:
+                img = img[:, :, :3].mean(axis=2).astype(np.uint8)
+            return pgm_features(img, self.feature_dim)
         if payload[:4] == b"RIFF" and payload[8:12] == b"WAVE":
             samples, rate = decode_wav(payload)
             return wav_features(samples, rate, self.feature_dim)
+        if payload[:4] == b"fLaC":
+            from ..functions.flac import decode_flac
+            samples, rate = decode_flac(payload)
+            # wav_features keys its peak off the dtype: FLAC decodes to
+            # int32 but carries 16-bit PCM here, so narrow when it fits
+            if samples.min() >= -32768 and samples.max() < 32768:
+                samples = samples.astype(np.int16)
+            return wav_features(samples, rate, self.feature_dim)
+        if payload[:2] == b"\xff\xd8":
+            from ..functions.jpeg import decode_jpeg
+            img = decode_jpeg(payload)
+            if img.ndim == 3:          # luma approximation for features
+                img = img.mean(axis=2)
+            if img.dtype != np.uint8:  # 12/16-bit stream: features run
+                # in 8-bit space — shift so the brightest sample fits
+                shift = max(0, int(img.max()).bit_length() - 8)
+                img = (img.astype(np.int64) >> shift)
+            return pgm_features(img.astype(np.uint8), self.feature_dim)
         if payload[:2] == b"P5":
             return pgm_features(decode_pgm(payload), self.feature_dim)
+        from ..functions.mp3 import is_mp3
+        if is_mp3(payload):
+            from ..functions.mp3dec import decode_mp3_samples, \
+                is_profile_mp3
+            if is_profile_mp3(payload):
+                # full Layer III decode (functions/mp3dec.py): the
+                # profile marker says the stream's Huffman codes are
+                # the profile's, so sample decode is exact
+                samples, srate = decode_mp3_samples(payload)
+                return wav_features(samples, srate, self.feature_dim)
+            # foreign stream: its ISO Table B.7 Huffman codes are the
+            # one spec blob unverifiable in this sandbox — the DSP
+            # chain is real (mp3dec), the code tables are the seam
+            raise NotImplementedError(
+                "MP3 sample decode for foreign streams needs the ISO "
+                "Huffman tables loaded into an Mp3Profile — the full "
+                "decode chain (mp3dec) and the structural layer "
+                "(mp3_info/parse_frames/extract_frames) are implemented")
+        from ..functions.ogg import is_ogg
+        if is_ogg(payload):
+            # full from-scratch Vorbis I decode (functions/vorbis.py);
+            # Opus remains the declared seam (normative RFC 6716
+            # codebooks) and raises NotImplementedError inside
+            from ..functions.ogg import decode_ogg
+            samples, srate = decode_ogg(payload)
+            # Vorbis decodes to float ±1; wav_features keys its peak
+            # off integer dtypes — quantize to 16-bit PCM
+            s16 = np.clip(samples * 32767.0, -32768, 32767) \
+                .astype(np.int16)
+            return wav_features(s16, srate, self.feature_dim)
         mod = _container_module(payload)
         if mod is not None:
             if depth > 0:
@@ -200,26 +250,44 @@ class MediaFeatureExtractor:
                 raise ValueError(
                     "container sample is itself a container — refusing "
                     "nested demux")
-            # thumbnail features: the middle keyframe of the video track
-            trk = mod.video_track(payload)
+            # thumbnail features: the middle keyframe of the video
+            # track; an audio-only WebM falls through to its A_VORBIS
+            # track (full Vorbis decode, functions/webm.py)
+            try:
+                trk = mod.video_track(payload)
+            except ValueError:
+                from ..functions import webm as _webm
+                if mod is _webm:
+                    samples, srate = _webm.decode_webm_audio(payload)
+                    s16 = np.clip(samples * 32767.0, -32768, 32767) \
+                        .astype(np.int16)
+                    return wav_features(s16, srate, self.feature_dim)
+                raise
             mid = trk.sync_at_or_before(trk.n_samples // 2)
             sample = mod.extract_sample(payload, trk, mid)
             if getattr(trk, "codec", None) in ("avc1", "avc3"):
                 # length-prefixed AVC sample: convert to a
                 # self-contained Annex B unit and run the I_PCM lane
+                from ..functions.h264 import mp4_h264_sample_annexb
                 sample = mp4_h264_sample_annexb(payload, mid)
             return self._real_features(sample, depth=depth + 1)
+        from ..functions.h264 import is_annexb
         if is_annexb(payload):
             # I_PCM sample lane (h264.py): exact decode for all-PCM
             # streams; predicted/CAVLC/CABAC macroblocks raise the
             # declared seam error inside
+            from ..functions.h264 import decode_h264
             frames = decode_h264(payload)
             mid_f = frames[len(frames) // 2]
             img = mid_f.mean(axis=2).astype(np.uint8) \
                 if mid_f.ndim == 3 else mid_f
             return pgm_features(img, self.feature_dim)
         raise NotImplementedError(
-            f"features: payload is not one of {KEPT_FORMATS}")
+            "payload is not PNG/GIF/BMP/TIFF/WAV/FLAC/PGM/JPEG/MP3/"
+            "Ogg/MP4/WebM/AVI/AnnexB-H.264 — H.264 predicted-MB, "
+            "VP9/AV1 and Opus sample decode are the declared codec "
+            "seam (README media matrix; structural layers in "
+            "h264.py / vp9av1.py / ogg.py)")
 
     def _fake_decode(self, payloads: list[bytes]) -> np.ndarray:
         """Deterministic stand-in: features = seeded hash-mix of payload
@@ -292,10 +360,11 @@ def extract_features(ds: "rd.Dataset", *, decoder: str = "fake",
 class ImageResizer:
     """Actor-pool resize stage. ``decoder="pgm"`` REALLY decodes,
     resizes (nearest-neighbor, pure numpy) and re-encodes each payload;
-    ``decoder="real"`` dispatches on magic bytes and resizes PNG, PGM
-    and BMP stills, re-encoding each in its own format;
-    ``decoder="fake"`` rewrites only the typed metadata (plumbing
-    drill)."""
+    ``decoder="real"`` dispatches on magic bytes and resizes PNG, PGM,
+    BMP, JPEG, GIF (all frames, index-plane resize — palette
+    preserved, no re-quantization) and TIFF, re-encoding each in its
+    own format; ``decoder="fake"`` rewrites only the typed metadata
+    (plumbing drill)."""
 
     def __init__(self, *, width: int, height: int,
                  decoder: str = "real", on_error: str = "raise"):
@@ -316,10 +385,12 @@ class ImageResizer:
 
     def _resize_payload(self, p: bytes) -> bytes:
         """Magic-byte dispatch: resize and re-encode IN the payload's
-        own format."""
+        own format (GIF resizes the palette-index planes directly, so
+        no re-quantization; JPEG re-encodes baseline at q92 — the one
+        necessarily lossy hop)."""
         from ..functions.codecs import decode_bmp, decode_png, \
             encode_bmp, encode_png, is_bmp
-        if p[:8] == _PNG_SIG:
+        if p[:8] == b"\x89PNG\r\n\x1a\n":
             img = decode_png(p)
             if img.dtype != np.uint8:        # 16-bit: keep 8-bit out
                 img = (img >> 8).astype(np.uint8)
@@ -329,9 +400,57 @@ class ImageResizer:
                                              self.height))
         if is_bmp(p):
             return encode_bmp(self._resize_any(decode_bmp(p)))
+        if p[:2] == b"\xff\xd8":
+            from ..functions.jpeg import decode_jpeg, encode_jpeg
+            img = decode_jpeg(p)
+            if img.dtype != np.uint8:
+                img = (img.astype(np.int64)
+                       >> max(0, int(img.max()).bit_length() - 8)
+                       ).astype(np.uint8)
+            if img.ndim == 3 and img.shape[2] != 3:
+                img = img.mean(axis=2).astype(np.uint8)
+            return encode_jpeg(self._resize_any(img), quality=92)
+        from ..functions.gif import encode_gif, is_gif, parse_gif
+        if is_gif(p):
+            g = parse_gif(p)
+            f0 = g["frames"][0]
+            if any(f["left"] or f["top"]
+                   or f["index"].shape != f0["index"].shape
+                   or f["palette"] is not f0["palette"]
+                   and not np.array_equal(f["palette"], f0["palette"])
+                   for f in g["frames"]):
+                raise NotImplementedError(
+                    "resize of offset-composited / per-frame-palette "
+                    "GIFs (decode via decode_gif and re-encode instead)")
+            # transparency survives an index-plane resize, but only a
+            # single uniform index can be re-encoded (encode_gif writes
+            # one GCE transparent index), and disposal 2/3 semantics
+            # under transparency cannot be preserved (encode_gif writes
+            # disposal 0); full-frame opaque frames make disposal moot
+            transp = f0["transparent"]
+            if any(f["transparent"] != transp for f in g["frames"]):
+                raise NotImplementedError(
+                    "resize of GIFs with per-frame transparent indices")
+            if transp is not None and any(f["disposal"] not in (0, 1)
+                                          for f in g["frames"]):
+                raise NotImplementedError(
+                    "resize of transparent GIFs with restore-to-"
+                    "background/previous disposal")
+            frames = [resize_nearest(f["index"], self.width,
+                                     self.height)
+                      for f in g["frames"]]
+            return encode_gif(frames, f0["palette"], delays_cs=[
+                f["delay_cs"] for f in g["frames"]], loop=g["loop"],
+                transparent=transp)
+        from ..functions.tiff import decode_tiff, encode_tiff, is_tiff
+        if is_tiff(p):
+            img = decode_tiff(p)
+            if img.ndim == 3 and img.shape[2] == 4:
+                img = img[:, :, :3]
+            return encode_tiff(self._resize_any(img),
+                               compression="lzw")
         raise NotImplementedError(
-            "resize: payload is not a PNG/BMP/PGM still (the media "
-            f"stages accept {KEPT_FORMATS})")
+            "resize: payload is not PNG/PGM/BMP/JPEG/GIF/TIFF")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.decoder == "real":
@@ -374,15 +493,18 @@ class FrameSampler:
     (ISO-BMFF sample tables via ``functions/mp4.py``), Matroska/WebM
     (EBML clusters via ``functions/webm.py`` — keyframe flags from
     SimpleBlock / ReferenceBlock), AVI (RIFF movi chunks + idx1
-    keyframe flags via ``functions/avi.py``) and the pgmv
-    concatenation — evenly-spaced sample indices, optionally snapped
-    to the nearest preceding sync sample (true keyframe seek); each
-    sampled frame's own payload is emitted (``avc1`` tracks as
+    keyframe flags via ``functions/avi.py``), animated GIF (composited
+    frames re-encoded as PNG payloads) and the pgmv concatenation —
+    evenly-spaced sample indices, optionally snapped to the nearest
+    preceding sync sample (true keyframe seek); each sampled frame's
+    own payload is emitted (Motion-JPEG tracks then decode through
+    ``functions/jpeg.py`` downstream; ``avc1`` tracks are emitted as
     self-contained Annex B units that decode through the H.264 I_PCM
-    lane). A sampled frame that is not a kept frame format (PNG, BMP,
-    PGM, Annex B H.264) raises the stage's ``NotImplementedError``.
-    ``decoder="pgmv"`` accepts only pgmv; ``decoder="fake"``
-    replicates the opaque payload per frame (plumbing drill)."""
+    lane). ``decoder="pgmv"`` accepts only pgmv; ``decoder="fake"``
+    replicates the opaque payload per frame (plumbing drill). Sample
+    DECODE of predicted-MB H.264 and VP9/AV1 tracks stays the declared
+    seam — demux/seek/extract here is codec-independent (README media
+    matrix)."""
 
     def __init__(self, *, n_frames: int, decoder: str = "real",
                  snap_to_sync: bool = False, on_error: str = "raise"):
@@ -414,16 +536,24 @@ class FrameSampler:
                 from ..functions.h264 import mp4_h264_sample_annexb
                 return idx, [mp4_h264_sample_annexb(p, int(i))
                              for i in idx]
-            frames = [mod.extract_sample(p, trk, int(i)) for i in idx]
-            if not all(map(_is_frame, frames)):
-                raise NotImplementedError(
-                    f"frames: {trk.codec!r} samples are not PNG/BMP/PGM/"
-                    f"H.264 frames (the media stages accept "
-                    f"{KEPT_FORMATS})")
-            return idx, frames
+            return idx, [mod.extract_sample(p, trk, int(i)) for i in idx]
+        if self.decoder == "real":
+            from ..functions.gif import is_gif
+            if is_gif(p):
+                # animated GIF: composited frames re-encoded as PNG
+                # (every composited frame is independently decodable,
+                # so snap_to_sync is the identity here)
+                from ..functions.codecs import encode_png
+                from ..functions.gif import decode_gif
+                frames, _ = decode_gif(p)
+                total = len(frames)
+                kk = min(k, total)
+                idx = (np.arange(kk) * total) // max(1, kk)
+                return idx, [encode_png(frames[int(i)]) for i in idx]
         if self.decoder == "real" and p[:2] != b"P5":
             raise NotImplementedError(
-                f"frames: payload is not one of {KEPT_FORMATS}")
+                "payload is not ISO-BMFF (mp4), Matroska/WebM, AVI, "
+                "GIF or pgmv (README media matrix)")
         frames = split_pgmv_frames(p)
         total = len(frames)
         kk = min(k, total)
@@ -479,24 +609,42 @@ def synth_media(n: int, *, seed: int = 42, kind: str = "fake",
                 frames: int = 8) -> "rd.Dataset":
     """Deterministic media table for tests. ``kind="fake"`` -> opaque
     seeded bytes; every other kind emits REAL payloads through the
-    from-scratch codecs: ``pgm``/``png``/``bmp`` images, ``wav`` audio
-    tones, ``h264`` Annex B I_PCM streams, and ``pgmv`` and
-    ``mp4``/``webm``/``avi`` videos (``frames`` per item; the
-    containers carry PNG frames, keyframe every 4)."""
+    from-scratch codecs: ``pgm``/``png``/``bmp``/``tiff``/``gif``
+    (animated, 256-grey palette)/``jpeg``/``jpeg_rgb``/``jpeg_ll``/
+    ``jpeg_arith`` (arithmetic SOF9)
+    (lossless) images, ``wav``/``flac``/``mp3``/``ogg`` (Ogg-Vorbis)
+    audio tones, and ``pgmv``/``mp4``/``webm``/``avi`` Motion-JPEG
+    videos (``frames`` per item, keyframe every 4)."""
     def gen(batch: dict) -> pa.Table:
-        from ..functions.codecs import encode_bmp, encode_png, encode_wav
+        from ..functions.codecs import encode_png, encode_wav
+        from ..functions.jpeg import encode_jpeg_color, encode_jpeg_gray
         ids = np.asarray(batch["id"], dtype=np.int64)
         payloads = []
         for i in ids:
-            def frame(f: int) -> np.ndarray:
-                return synth_frame(i, f, seed=seed, width=width,
-                                   height=height)
             if kind == "pgm":
-                payloads.append(encode_pgm(frame(0)))
+                payloads.append(encode_pgm(synth_frame(
+                    i, 0, seed=seed, width=width, height=height)))
             elif kind == "png":
-                payloads.append(encode_png(frame(0)))
-            elif kind == "bmp":
-                payloads.append(encode_bmp(frame(0)))
+                payloads.append(encode_png(synth_frame(
+                    i, 0, seed=seed, width=width, height=height)))
+            elif kind == "jpeg":
+                payloads.append(encode_jpeg_gray(synth_frame(
+                    i, 0, seed=seed, width=width, height=height),
+                    quality=92))
+            elif kind == "jpeg_dri":
+                # restart interval per MCU: every entropy segment is
+                # independent -> the lockstep vectorized decode path
+                payloads.append(encode_jpeg_gray(synth_frame(
+                    i, 0, seed=seed, width=width, height=height),
+                    quality=92, restart_mcus=1))
+            elif kind == "jpeg_rgb":
+                # NB: don't name this `frames` — it would shadow the
+                # enclosing parameter the pgmv branch reads
+                rgb = np.stack([synth_frame(
+                    i, f, seed=seed, width=width, height=height)
+                    for f in range(3)], axis=2)
+                payloads.append(encode_jpeg_color(rgb, quality=92,
+                                                  subsampling="420"))
             elif kind == "wav":
                 t = np.arange(width * height, dtype=np.float64)
                 tone = np.sin(2 * np.pi * (220 + 11 * (int(i) % 8))
@@ -505,33 +653,134 @@ def synth_media(n: int, *, seed: int = 42, kind: str = "fake",
                     (tone * 20000).astype(np.int16), 8000))
             elif kind == "pgmv":
                 payloads.append(b"".join(
-                    encode_pgm(frame(f)) for f in range(frames)))
-            elif kind in ("mp4", "webm", "avi"):
-                # PNG frames in each container: every sample is
-                # independently decodable by the PNG codec
-                from ..functions import avi, mp4, webm
-                mux = {"mp4": mp4.encode_mp4_video,
-                       "webm": webm.encode_webm_video,
-                       "avi": avi.encode_avi_video}[kind]
-                payloads.append(mux(
-                    [encode_png(frame(f)) for f in range(frames)],
-                    width=width, height=height, sync_every=4))
+                    encode_pgm(synth_frame(i, f, seed=seed, width=width,
+                                           height=height))
+                    for f in range(frames)))
+            elif kind == "mp4":
+                # Motion-JPEG in MP4: every sample independently
+                # decodable by the from-scratch JPEG codec
+                from ..functions.mp4 import encode_mp4_video
+                payloads.append(encode_mp4_video(
+                    [encode_jpeg_gray(synth_frame(
+                        i, f, seed=seed, width=width, height=height),
+                        quality=92) for f in range(frames)],
+                    codec=b"jpeg", width=width, height=height,
+                    sync_every=4))
+            elif kind == "webm":
+                # Motion-JPEG in Matroska: same frames, EBML container
+                from ..functions.webm import encode_webm_video
+                payloads.append(encode_webm_video(
+                    [encode_jpeg_gray(synth_frame(
+                        i, f, seed=seed, width=width, height=height),
+                        quality=92) for f in range(frames)],
+                    codec="V_MJPEG", width=width, height=height,
+                    sync_every=4))
+            elif kind == "avi":
+                # Motion-JPEG in AVI: same frames, RIFF container
+                from ..functions.avi import encode_avi_video
+                payloads.append(encode_avi_video(
+                    [encode_jpeg_gray(synth_frame(
+                        i, f, seed=seed, width=width, height=height),
+                        quality=92) for f in range(frames)],
+                    codec="MJPG", width=width, height=height,
+                    sync_every=4))
+            elif kind == "gif":
+                # animated GIF over a 256-grey identity palette: the
+                # composited frames decode to the synth frames exactly
+                from ..functions.gif import encode_gif
+                pal = np.repeat(np.arange(256, dtype=np.uint8),
+                                3).reshape(256, 3)
+                payloads.append(encode_gif(
+                    [synth_frame(i, f, seed=seed, width=width,
+                                 height=height) for f in range(frames)],
+                    pal, delays_cs=[4] * frames))
+            elif kind == "bmp":
+                from ..functions.codecs import encode_bmp
+                payloads.append(encode_bmp(synth_frame(
+                    i, 0, seed=seed, width=width, height=height)))
+            elif kind == "tiff":
+                from ..functions.tiff import encode_tiff
+                payloads.append(encode_tiff(synth_frame(
+                    i, 0, seed=seed, width=width, height=height),
+                    compression="lzw"))
+            elif kind == "jpeg_ll":
+                from ..functions.jpeg import encode_jpeg_lossless
+                payloads.append(encode_jpeg_lossless(synth_frame(
+                    i, 0, seed=seed, width=width, height=height)))
+            elif kind == "jpeg_arith":
+                # profile-tagged arithmetic SOF9 (functions/jpeg_arith):
+                # QM-family entropy layer over the same DCT/quant
+                from ..functions.jpeg_arith import encode_jpeg_arith
+                payloads.append(encode_jpeg_arith(synth_frame(
+                    i, 0, seed=seed, width=width, height=height),
+                    quality=92, restart_mcus=2))
+            elif kind == "jpeg_hier":
+                # hierarchical pyramid (T.81 Annex J): SOF0 base +
+                # EXP/SOF5 differential refinements
+                from ..functions.jpeg_hier import encode_jpeg_hier
+                payloads.append(encode_jpeg_hier(synth_frame(
+                    i, 0, seed=seed, width=width, height=height),
+                    quality=92, levels=3))
             elif kind == "h264":
                 # Annex B all-IDR I_PCM stream (functions/h264.py):
                 # spec-valid, exact sample lane through the entropy seam
                 from ..functions.h264 import encode_h264_ipcm
-                payloads.append(encode_h264_ipcm(
-                    np.stack([frame(f) for f in range(frames)])))
+                fr = np.stack([synth_frame(i, k, seed=seed, width=width,
+                                           height=height)
+                               for k in range(frames)])
+                payloads.append(encode_h264_ipcm(fr))
+            elif kind == "jpeg_hier_arith":
+                # arithmetic pyramid: SOF9 base + EXP/SOF13 QM-coded
+                # refinements (profile-tagged)
+                from ..functions.jpeg_hier import encode_jpeg_hier
+                payloads.append(encode_jpeg_hier(synth_frame(
+                    i, 0, seed=seed, width=width, height=height),
+                    quality=92, levels=3, arithmetic=True))
+            elif kind == "flac":
+                from ..functions.flac import encode_flac
+                t = np.arange(width * height, dtype=np.float64)
+                tone = np.sin(2 * np.pi * (220 + 11 * (int(i) % 8))
+                              * t / 8000.0)
+                payloads.append(encode_flac(
+                    (tone * 20000).astype(np.int64), 8000,
+                    blocksize=192))
+            elif kind == "mp3":
+                # profile-tagged Layer III stream (functions/mp3dec):
+                # real reservoir bitstream + hybrid/polyphase DSP
+                from ..functions.mp3dec import encode_mp3
+                t = np.arange(width * height, dtype=np.float64)
+                tone = np.sin(2 * np.pi * (220 + 11 * (int(i) % 8))
+                              * t / 32000.0)
+                payloads.append(encode_mp3(
+                    (tone * 20000).astype(np.int16), 32000,
+                    bitrate=64, reservoir=True, tag=True))
+            elif kind == "ogg":
+                # Ogg-Vorbis: full from-scratch MDCT codec round trip
+                # (functions/vorbis.py), RFC 3533 pages
+                from ..functions.ogg import encode_ogg_vorbis
+                t = np.arange(width * height, dtype=np.float64)
+                tone = 0.5 * np.sin(2 * np.pi * (220 + 11 * (int(i) % 8))
+                                    * t / 8000.0)
+                payloads.append(encode_ogg_vorbis(tone, 8000))
             else:
                 payloads.append(bytes((
                     hash_u64(np.arange(64, dtype=np.uint64)
                              + np.uint64(i), seed) & np.uint64(255)
                 ).astype(np.uint8).tolist()))
-        mt = {"pgm": "image/x-portable-graymap", "png": "image/png",
-              "bmp": "image/bmp", "wav": "audio/wav",
-              "pgmv": "video/x-pgm-frames", "h264": "video/h264",
+        mt = {"pgm": "image/x-portable-graymap", "jpeg": "image/jpeg",
+              "jpeg_dri": "image/jpeg",
+              "jpeg_rgb": "image/jpeg", "jpeg_ll": "image/jpeg",
+              "jpeg_arith": "image/jpeg", "jpeg_hier": "image/jpeg",
+              "jpeg_hier_arith": "image/jpeg",
+              "h264": "video/h264",
               "mp4": "video/mp4", "webm": "video/webm",
-              "avi": "video/x-msvideo"}.get(kind, "image/fake")
+              "avi": "video/x-msvideo", "gif": "image/gif",
+              "bmp": "image/bmp", "tiff": "image/tiff",
+              "flac": "audio/flac", "mp3": "audio/mpeg",
+              "ogg": "audio/ogg",
+              "pgmv": "video/x-pgm-frames",
+              "png": "image/png",
+              "wav": "audio/wav"}.get(kind, "image/fake")
         return pa.table({
             "media_id": pa.array(ids),
             "payload": pa.array(payloads, pa.binary()),

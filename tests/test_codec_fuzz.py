@@ -4,20 +4,16 @@ truncations of a valid stream, or single-bit flips, must raise
 ``IndexError``, ``zlib.error`` or an unbounded loop. The actor-pool
 media stages run over untrusted crawl payloads; a stray exception type
 there kills a whole Ray task batch instead of being handled as one
-malformed row. Payloads of formats the stages do not decode go through
-all three stages' dispatchers under the same rule. Deterministic seeds
-keep this reproducible."""
+malformed row. Deterministic seeds keep this reproducible."""
 
-import re
 import struct
 
 import numpy as np
 import pytest
 
 from hierarchical_bloom_filter_index_ray.functions import (
-    avi, codecs, h264, mp4, webm)
-from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (
-    KEPT_FORMATS, FrameSampler, ImageResizer, MediaFeatureExtractor)
+    avi, flac, gif, jpeg, mp4, tiff, webm)
+from hierarchical_bloom_filter_index_ray.functions import codecs
 
 _OK = (ValueError, NotImplementedError)
 
@@ -25,51 +21,20 @@ _OK = (ValueError, NotImplementedError)
 @pytest.fixture(autouse=True, scope="module")
 def _small_pixel_cap():
     """Tighten the decode-work cap for the whole fuzz module: every
-    valid fixture here is <= 32x32, but one bit flip in a dimension
-    field can otherwise claim a frame just under the default
-    2^27-pixel cap — seconds of per-pixel work multiplied by 1500
-    flips. Fuzzing under a small value exercises the same ValueError
-    path."""
+    valid fixture here is <= 48x48, but one bit flip in a u16
+    dimension field can otherwise claim a frame just under the default
+    2^27-pixel cap — harmless memory-wise, yet minutes of per-symbol
+    work in the pure-Python entropy decoders (arithmetic JPEG
+    especially) multiplied by 1500 flips. The cap is the documented
+    production bound (``codecs.MAX_PIXELS``) for exactly this; fuzzing
+    under a small value exercises the same ValueError path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codecs, "MAX_PIXELS", 1 << 16)
         yield
 
 _RNG = np.random.default_rng(12345)
 _IMG = _RNG.integers(0, 256, (9, 11)).astype(np.uint8)
-
-# the three decoder="real" media stages, called per payload
-_STAGES = (MediaFeatureExtractor(decoder="real", feature_dim=8),
-           ImageResizer(width=4, height=4, decoder="real"),
-           FrameSampler(n_frames=2, decoder="real"))
-
-
-def _every_stage(payload: bytes) -> None:
-    """Feed one payload to each stage's dispatcher; each may only
-    reject it with ValueError / NotImplementedError."""
-    for fn in (_STAGES[0]._real_features, _STAGES[1]._resize_payload,
-               _STAGES[2]._split):
-        try:
-            fn(payload)
-        except _OK:
-            pass
-
-
-# formats the media stages do not decode: each opens with its magic
-# bytes; nothing reads past them, so a short stand-in body suffices
-_REMOVED = {
-    "jpeg": b"\xff\xd8\xff\xe0\x00\x10JFIF\x00",
-    "gif": b"GIF89a\x02\x00\x02\x00",
-    "tiff": b"II*\x00\x08\x00\x00\x00",
-    "tiff_be": b"MM\x00*\x00\x00\x00\x08",
-    "flac": b"fLaC\x00\x00\x00\x22",
-    "mp3_id3": b"ID3\x03\x00\x00\x00\x00\x00\x00",
-    "mp3": b"\xff\xfb\x90\x00" + bytes(16),
-    "ogg": b"OggS\x00\x02" + bytes(16),
-    # Motion-JPEG in MP4: the container is kept, its samples are not
-    "mjpeg_mp4": mp4.encode_mp4_video(
-        [b"\xff\xd8\xff\xe0frame%d" % k for k in range(3)],
-        codec=b"jpeg", width=2, height=2),
-}
+_PAL = _RNG.integers(0, 256, (16, 3)).astype(np.uint8)
 
 
 def _empty_bmp(w: int, h: int) -> bytes:
@@ -77,7 +42,6 @@ def _empty_bmp(w: int, h: int) -> bytes:
     buf = bytearray(codecs.encode_bmp(np.zeros((4, 4), np.uint8)))
     buf[18:26] = struct.pack("<ii", w, h)
     return bytes(buf)
-
 
 _CASES = {
     "png": (codecs.decode_png, b"\x89PNG\r\n\x1a\n",
@@ -88,8 +52,41 @@ _CASES = {
                 8000)),
     "bmp": (codecs.decode_bmp, b"BM",
             lambda: codecs.encode_bmp(_IMG)),
+    "gif": (gif.decode_gif, b"GIF89a",
+            lambda: gif.encode_gif(_IMG % 16, _PAL)),
+    "jpeg": (jpeg.decode_jpeg, b"\xff\xd8",
+             lambda: jpeg.encode_jpeg(_IMG)),
+    "jpegll": (jpeg.decode_jpeg, b"\xff\xd8",
+               lambda: jpeg.encode_jpeg_lossless(_IMG)),
+    # >= 32 restart intervals: exercises the lockstep vectorized
+    # entropy decoder (_decode_seq_vec) on malformed streams
+    "jpegdri": (jpeg.decode_jpeg, b"\xff\xd8",
+                lambda: jpeg.encode_jpeg_gray(
+                    _RNG.integers(0, 256, (48, 48)).astype(np.uint8),
+                    restart_mcus=1)),
+    "jpegarith": (jpeg.decode_jpeg, b"\xff\xd8",
+                  lambda: __import__(
+                      "hierarchical_bloom_filter_index_ray.functions."
+                      "jpeg_arith", fromlist=["x"]).encode_jpeg_arith(
+                      _RNG.integers(0, 256, (24, 24)).astype(np.uint8),
+                      restart_mcus=2)),
+    "jpeghier": (jpeg.decode_jpeg, b"\xff\xd8",
+                 lambda: __import__(
+                     "hierarchical_bloom_filter_index_ray.functions."
+                     "jpeg_hier", fromlist=["x"]).encode_jpeg_hier(
+                     _RNG.integers(0, 256, (32, 32)).astype(np.uint8),
+                     levels=3)),
+    "jpeghierarith": (jpeg.decode_jpeg, b"\xff\xd8",
+                      lambda: __import__(
+                          "hierarchical_bloom_filter_index_ray."
+                          "functions.jpeg_hier", fromlist=["x"]
+                      ).encode_jpeg_hier(
+                          _RNG.integers(0, 256, (32, 32)).astype(
+                              np.uint8),
+                          levels=3, arithmetic=True)),
     "mp4": (mp4.video_track, b"\x00\x00\x00\x18ftypisom",
             lambda: mp4.encode_mp4_video([b"fr1", b"fr2"],
+                                         codec=b"jpeg",
                                          width=2, height=2)),
     "webm": (webm.video_track, b"\x1aE\xdf\xa3",
              lambda: webm.encode_webm_video([b"fr1", b"fr2"],
@@ -97,12 +94,20 @@ _CASES = {
     "avi": (avi.parse_avi, b"RIFF\x40\x00\x00\x00AVI ",
             lambda: avi.encode_avi_video([b"fr1", b"fr2"],
                                          width=2, height=2)),
-    "h264": (h264.decode_h264, b"\x00\x00\x00\x01\x67",
-             lambda: h264.encode_h264_ipcm(
+    "flac": (flac.decode_flac, b"fLaC",
+             lambda: flac.encode_flac(
+                 (_RNG.integers(-3000, 3000, 600)).astype(np.int64),
+                 8000, blocksize=256)),
+    "tiff": (tiff.decode_tiff, b"II*\x00",
+             lambda: tiff.encode_tiff(_IMG, compression="lzw")),
+    "h264": (lambda p: __import__(
+                 "hierarchical_bloom_filter_index_ray.functions.h264",
+                 fromlist=["x"]).decode_h264(p),
+             b"\x00\x00\x00\x01\x67",
+             lambda: __import__(
+                 "hierarchical_bloom_filter_index_ray.functions.h264",
+                 fromlist=["x"]).encode_h264_ipcm(
                  _RNG.integers(0, 256, (2, 32, 32)).astype(np.uint8))),
-    # removed formats through all three stages' dispatchers
-    **{name: (_every_stage, sample[:8], lambda sample=sample: sample)
-       for name, sample in _REMOVED.items()},
 }
 
 
@@ -159,23 +164,26 @@ class TestOnErrorPolicy:
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
             import extract_features
         good = codecs.encode_png(_IMG)
-        bad = [b"\xff\xd8garbage", *_REMOVED.values(),
-               # empty / negative-width BMPs: no pixels to featurize
-               _empty_bmp(0, 4), _empty_bmp(4, 0), _empty_bmp(-4, 4)]
-        rows = [{"media_id": 0, "payload": good, "media_type": "image/png"},
-                *({"media_id": 10 + k, "payload": p,
-                   "media_type": "application/octet-stream"}
-                  for k, p in enumerate(bad)),
-                {"media_id": 1, "payload": good, "media_type": "image/png"}]
+        rows = [
+            {"media_id": 0, "payload": good, "media_type": "image/png"},
+            {"media_id": 1, "payload": b"\xff\xd8garbage",
+             "media_type": "image/jpeg"},
+            {"media_id": 2, "payload": good, "media_type": "image/png"},
+            {"media_id": 3, "payload": b"OggS unsupported",
+             "media_type": "audio/ogg"},
+            # empty / negative-width BMPs: no pixels to featurize
+            *({"media_id": 10 + k, "payload": _empty_bmp(w, h),
+               "media_type": "image/bmp"}
+              for k, (w, h) in enumerate(((0, 4), (4, 0), (-4, 4)))),
+        ]
         out = extract_features(ray.data.from_items(rows),
                                decoder="real", feature_dim=8,
                                concurrency=1, on_error="skip"
                                ).to_pandas()
-        assert sorted(out["media_id"]) == [0, 1]
+        assert sorted(out["media_id"]) == [0, 2]
 
     def test_raise_is_default(self, ray_session):
         import ray
-        import pyarrow as pa
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
             import extract_features
         rows = [{"media_id": 0, "payload": b"\xff\xd8garbage",
@@ -183,17 +191,10 @@ class TestOnErrorPolicy:
         with pytest.raises(Exception):
             extract_features(ray.data.from_items(rows), decoder="real",
                              feature_dim=8, concurrency=1).to_pandas()
-        # every removed format meets each stage's one clear error
-        for name, payload in _REMOVED.items():
-            batch = pa.table({"media_id": [0], "payload": [payload],
-                              "media_type": ["application/octet-stream"],
-                              "width": [2], "height": [2]})
-            for stage in _STAGES:
-                with pytest.raises(NotImplementedError,
-                                   match=re.escape(KEPT_FORMATS)):
-                    stage(batch)
 
     def test_bad_policy_rejected(self):
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
+            import MediaFeatureExtractor
         with pytest.raises(ValueError):
             MediaFeatureExtractor(on_error="ignore")
 
@@ -224,6 +225,36 @@ class TestAllocationBombs:
             tracemalloc.stop()
         assert peak < 4 << 20, peak          # bomb: 64 MiB
 
+    def test_gif_huge_dimensions_tiny_data(self):
+        buf = bytearray(b"GIF89a")
+        buf += struct.pack("<HHBBB", 65535, 65535, 0x80, 0, 0)
+        buf += bytes(6)                       # 2-colour GCT
+        buf += b"\x2c" + struct.pack("<HHHHB", 0, 0, 65535, 65535, 0)
+        buf += b"\x02\x02\x4c\x01\x00\x3b"    # 2-byte LZW stream
+        with pytest.raises(ValueError):
+            gif.decode_gif(bytes(buf))
+
+    def test_gif_huge_screen_valid_tiny_frame(self):
+        """The logical-screen descriptor alone must not size the
+        compositing canvas: a ~40-byte GIF with one VALID 1x1 frame but
+        a 65535x65535 screen claim would allocate ~12.9 GB."""
+        pal = np.array([[0, 0, 0], [255, 255, 255]], np.uint8)
+        buf = bytearray(gif.encode_gif(np.zeros((1, 1), np.uint8), pal))
+        buf[6:10] = struct.pack("<HH", 65535, 65535)
+        with pytest.raises(ValueError, match="cap"):
+            gif.decode_gif(bytes(buf))
+
+    def test_tiff_lzw_output_impossible_for_input(self):
+        """A forged IFD's strip byte count must be rejected before the
+        LZW loop grows the output toward it (~3600x max amplification)."""
+        with pytest.raises(ValueError, match="impossible"):
+            tiff._lzw_decode(b"\x00" * 1024, 1 << 31)
+        with pytest.raises(ValueError, match="impossible"):
+            tiff._packbits_decode(b"\x81\x00" * 512, 1 << 31)
+        # sanity: legitimate ratios still decode
+        row = bytes(range(64)) * 4
+        assert tiff._lzw_decode(tiff._lzw_encode(row), len(row)) == row
+
     def test_mp4_zero_sample_track(self):
         """Spec-legal zero-sample track (empty stsz/stsc/stco, as
         written for metadata-only tracks) resolves to empty arrays —
@@ -239,9 +270,12 @@ class TestAllocationBombs:
         (offsets are arbitrary absolute ranges, so a crafted file can
         even cover itself) must fail with ValueError after ONE level,
         not recurse to RecursionError."""
-        inner = mp4.encode_mp4_video([b"frame"], width=1, height=1)
-        outer = mp4.encode_mp4_video([inner, inner, inner],
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
+            import MediaFeatureExtractor
+        inner = mp4.encode_mp4_video([b"frame"], codec=b"jpeg",
                                      width=1, height=1)
+        outer = mp4.encode_mp4_video([inner, inner, inner],
+                                     codec=b"jpeg", width=1, height=1)
         ext = MediaFeatureExtractor(decoder="real", feature_dim=8)
         with pytest.raises(ValueError, match="nested"):
             ext._real_features(outer)
@@ -255,17 +289,27 @@ class TestAllocationBombs:
         with pytest.raises(ValueError):
             codecs.decode_png(buf)
 
+    def test_jpeg_gigapixel_cap(self):
+        img = np.zeros((8, 8), np.uint8)
+        buf = bytearray(jpeg.encode_jpeg_gray(img))
+        i = buf.index(b"\xff\xc0")
+        # rewrite SOF dims to 60000x60000
+        buf[i + 5:i + 9] = (60000).to_bytes(2, "big") * 2
+        with pytest.raises(ValueError, match="MAX_PIXELS"):
+            jpeg.decode_jpeg(bytes(buf))
+
     def test_skip_policy_on_resizer_and_sampler(self, ray_session):
         import ray
+        from hierarchical_bloom_filter_index_ray.functions.webm \
+            import encode_webm_video
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
+            import FrameSampler, ImageResizer
         good_img = codecs.encode_png(_IMG)
         rows = [
             {"media_id": 0, "payload": good_img,
              "media_type": "image/png", "width": 11, "height": 9},
             {"media_id": 1, "payload": b"\x89PNG\r\n\x1a\njunk",
              "media_type": "image/png", "width": 11, "height": 9},
-            *({"media_id": 10 + k, "payload": p,
-               "media_type": "application/octet-stream", "width": 2,
-               "height": 2} for k, p in enumerate(_REMOVED.values())),
         ]
         out = (ray.data.from_items(rows)
                .map_batches(ImageResizer, batch_format="pyarrow",
@@ -275,11 +319,9 @@ class TestAllocationBombs:
                                 "decoder": "real", "on_error": "skip"})
                .to_pandas())
         assert out["media_id"].tolist() == [0]
-        vid = webm.encode_webm_video([good_img, good_img], width=11,
-                                     height=9)
+        vid = encode_webm_video([b"f0", b"f1"], width=2, height=2)
         vrows = [{"media_id": 0, "payload": vid},
-                 *({"media_id": 10 + k, "payload": p}
-                   for k, p in enumerate(_REMOVED.values()))]
+                 {"media_id": 1, "payload": b"OggS not a container"}]
         out = (ray.data.from_items(vrows)
                .map_batches(FrameSampler, batch_format="pyarrow",
                             concurrency=1,

@@ -2,7 +2,8 @@
 bit-by-bit from the ITU-T H.264 §7.3.2.1.1 field order by an
 independent test-side Exp-Golomb writer (including test-side
 emulation-prevention insertion) — the parser is never checked against
-its own output conventions."""
+its own output conventions, mirroring the JPEG/FLAC/MP3/Ogg test
+strategy."""
 
 import struct
 

@@ -6,12 +6,12 @@ malformed streams (same zero-padded reader semantics), and a DRI stream
 must decode to exactly the pixels of the plain stream of the same
 image (same coefficients, only predictor resets and markers differ)."""
 
-import os
 import zlib
 
 import numpy as np
 import pytest
 
+from hierarchical_bloom_filter_index_ray.functions import jpeg
 from hierarchical_bloom_filter_index_ray.functions.jpeg import (
     decode_jpeg, encode_jpeg_color, encode_jpeg_gray)
 
@@ -19,13 +19,15 @@ from hierarchical_bloom_filter_index_ray.functions.jpeg import (
 def _both(payload):
     """(outcome, pixels) under the scalar and the vectorized decoder."""
     out = []
-    for vec in ("0", "1"):
-        os.environ["HBI_JPEG_VEC"] = vec
+    default = jpeg.VEC_MIN_INTERVALS
+    for threshold in (1 << 62, default):     # never / default lockstep
+        jpeg.VEC_MIN_INTERVALS = threshold
         try:
             out.append(("ok", decode_jpeg(payload)))
         except (ValueError, NotImplementedError) as e:
             out.append((type(e).__name__, None))
-    os.environ.pop("HBI_JPEG_VEC", None)
+        finally:
+            jpeg.VEC_MIN_INTERVALS = default
     return out
 
 

@@ -227,7 +227,8 @@ class TestArithmeticPyramid:
     def test_fuzz_arith_pyramid(self, monkeypatch):
         # small pixel cap: a flipped u16 dimension otherwise buys
         # minutes of per-symbol QM decode (see test_codec_fuzz)
-        monkeypatch.setenv("HBI_JPEG_MAX_PIXELS", str(1 << 16))
+        from hierarchical_bloom_filter_index_ray.functions import codecs
+        monkeypatch.setattr(codecs, "MAX_PIXELS", 1 << 16)
         img = _image(32, 32, 15)
         p = jh.encode_jpeg_hier(img, 85, levels=3, arithmetic=True)
         rng = np.random.default_rng(zlib.crc32(b"hier-arith-fuzz"))

@@ -20,7 +20,7 @@ from hierarchical_bloom_filter_index_ray.pipelines import (
 from hierarchical_bloom_filter_index_ray.pipelines.events import (
     sessionize, tumbling_window_agg)
 from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (
-    extract_features, synth_media)
+    MediaFeatureExtractor, extract_features, synth_media)
 from hierarchical_bloom_filter_index_ray.pipelines.text import (
     sequences_table, source_token_totals, top_words)
 
@@ -702,13 +702,46 @@ class TestMultimodal:
                 synth_frame(mid, 0, seed=5, width=16, height=16), 5, 7)
             assert np.array_equal(decode_png(payload), want)
 
+    def test_real_decoder_mp3_profile_streams(self):
+        """Profile-tagged MP3 clips decode through the full Layer III
+        chain into audio features; an untagged (foreign-table) stream
+        stays the declared profile seam."""
+        from hierarchical_bloom_filter_index_ray.functions.mp3dec import \
+            encode_mp3
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (
+            MediaFeatureExtractor, extract_features, synth_media)
+        feats = extract_features(
+            synth_media(6, seed=7, kind="mp3", width=32, height=32),
+            decoder="real", feature_dim=8, concurrency=1).to_pandas()
+        f = np.stack(feats.sort_values("media_id")["features"].tolist())
+        assert f.shape == (6, 8) and np.isfinite(f).all()
+        assert len(np.unique(f[:, 2])) > 1      # payload-dependent
+        ex = MediaFeatureExtractor(decoder="real", feature_dim=8)
+        foreign = encode_mp3(np.zeros(2000, dtype=np.int16), 44100)
+        with pytest.raises(NotImplementedError):
+            ex._real_features(foreign)
+
+    def test_real_decoder_ogg_vorbis_streams(self):
+        """Ogg-Vorbis clips decode through the full from-scratch Vorbis
+        I chain (functions/vorbis.py — in-stream codebooks, no profile
+        seam) into audio features, distributed through the actor-pool
+        stage."""
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
+            import extract_features, synth_media
+        feats = extract_features(
+            synth_media(6, seed=7, kind="ogg", width=32, height=32),
+            decoder="real", feature_dim=8, concurrency=1).to_pandas()
+        f = np.stack(feats.sort_values("media_id")["features"].tolist())
+        assert f.shape == (6, 8) and np.isfinite(f).all()
+        assert len(np.unique(f[:, 2])) > 1      # payload-dependent
+
     def test_frame_sampler_unknown_container_is_declared_seam(self):
-        """mp4, webm AND avi demux are real (test_mp4.py /
+        """mp4, webm AND avi demux are real now (test_mp4.py /
         test_webm.py / test_avi.py); a container that is none of
-        ISO-BMFF, EBML, RIFF-AVI or pgmv (e.g. Ogg magic) meets the
-        stage's NotImplementedError, while payloads with EBML or AVI
-        magic but corrupt bodies surface the demuxer's parse error
-        rather than being misfiled as 'unsupported'."""
+        ISO-BMFF, EBML, RIFF-AVI, GIF or pgmv (e.g. Ogg magic) stays
+        the declared NotImplementedError seam, while payloads with
+        EBML or AVI magic but corrupt bodies surface the demuxer's
+        parse error rather than being misfiled as 'unsupported'."""
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal import \
             FrameSampler
         fs = FrameSampler(n_frames=3, decoder="real")
@@ -718,6 +751,300 @@ class TestMultimodal:
             fs._split(b"\x1a\x45\xdf\xa3" + b"\x00" * 64)
         with pytest.raises(ValueError):
             fs._split(b"RIFF\x24\x00\x00\x00AVI " + b"\x00" * 64)
+
+
+def _hand_codes(bits, vals):
+    """Independent (test-side) canonical Huffman assignment, T.81 Annex
+    C — deliberately NOT the module's implementation."""
+    table = {}
+    code, k = 0, 0
+    for ln in range(1, 17):
+        for _ in range(bits[ln - 1]):
+            table[vals[k]] = (code, ln)
+            code += 1
+            k += 1
+        code *= 2
+    return table
+
+
+class _HandBits:
+    def __init__(self):
+        self.s = ""
+
+    def put(self, code, ln):
+        self.s += format(code, f"0{ln}b")
+
+    def bytes_(self):
+        s = self.s + "1" * (-len(self.s) % 8)
+        raw = bytes(int(s[i:i + 8], 2) for i in range(0, len(s), 8))
+        return raw.replace(b"\xff", b"\xff\x00")
+
+
+class TestJpegCodec:
+    """Baseline greyscale JPEG (functions/jpeg.py): hand-assembled
+    bitstream fixtures pin the DECODER independently of the encoder;
+    round trips pin the pair; the actor-pool feature stage runs it."""
+
+    def _headers(self, h, w, q_zigzag):
+        import struct as st
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            _AC_LUMA_BITS, _AC_LUMA_VALS, _DC_LUMA_BITS, _DC_LUMA_VALS)
+
+        def seg(m, body):
+            return bytes([0xFF, m]) + st.pack(">H", len(body) + 2) + body
+
+        out = bytearray(b"\xff\xd8")
+        out += seg(0xDB, bytes([0]) + bytes(q_zigzag))
+        out += seg(0xC0, st.pack(">BHHB", 8, h, w, 1) + bytes([1, 0x11, 0]))
+        out += seg(0xC4, bytes([0x00]) + bytes(_DC_LUMA_BITS)
+                   + bytes(_DC_LUMA_VALS))
+        out += seg(0xC4, bytes([0x10]) + bytes(_AC_LUMA_BITS)
+                   + bytes(_AC_LUMA_VALS))
+        return out
+
+    def test_hand_built_dc_only_block(self):
+        """One 8x8 block, flat quant=16, DC diff=+3, EOB: every pixel
+        must be 3*16/8 + 128 = 134 (DC-only IDCT is constant)."""
+        import struct as st
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            _AC_LUMA_BITS, _AC_LUMA_VALS, _DC_LUMA_BITS, _DC_LUMA_VALS,
+            decode_jpeg_gray)
+        dc = _hand_codes(_DC_LUMA_BITS, _DC_LUMA_VALS)
+        ac = _hand_codes(_AC_LUMA_BITS, _AC_LUMA_VALS)
+        bits = _HandBits()
+        bits.put(*dc[2])        # DC category 2
+        bits.put(3, 2)          # magnitude bits: +3
+        bits.put(*ac[0x00])     # EOB
+        jpg = self._headers(8, 8, [16] * 64)
+        jpg += bytes([0xFF, 0xDA]) + st.pack(">H", 8) \
+            + bytes([1, 1, 0x00, 0, 63, 0])
+        jpg += bits.bytes_() + b"\xff\xd9"
+        img = decode_jpeg_gray(bytes(jpg))
+        assert img.shape == (8, 8)
+        assert (img == 134).all()
+
+    def test_hand_built_single_ac_coefficient(self):
+        """DC=0 plus AC coefficient (0,1)=+2 at quant 16: pixels must
+        equal the DCT basis column computed from the raw cosine formula
+        (independent of the module's IDCT matrix)."""
+        import struct as st
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            _AC_LUMA_BITS, _AC_LUMA_VALS, _DC_LUMA_BITS, _DC_LUMA_VALS,
+            decode_jpeg_gray)
+        dc = _hand_codes(_DC_LUMA_BITS, _DC_LUMA_VALS)
+        ac = _hand_codes(_AC_LUMA_BITS, _AC_LUMA_VALS)
+        bits = _HandBits()
+        bits.put(*dc[0])        # DC category 0 (diff 0)
+        bits.put(*ac[0x02])     # run 0, size 2 -> zigzag k=1 = natural
+        bits.put(2, 2)          # (0,1); value +2
+        bits.put(*ac[0x00])     # EOB
+        jpg = self._headers(8, 8, [16] * 64)
+        jpg += bytes([0xFF, 0xDA]) + st.pack(">H", 8) \
+            + bytes([1, 1, 0x00, 0, 63, 0])
+        jpg += bits.bytes_() + b"\xff\xd9"
+        img = decode_jpeg_gray(bytes(jpg))
+        # IDCT of the single coefficient C[0,1] = 2*16: pixel(y, x) =
+        # a0 * a1(x) * 32 + 128 with a0 = 1/sqrt(8),
+        # a1(x) = sqrt(2/8) cos((2x+1)pi/16) — raw cosine formula,
+        # independent of the module's DCT matrix
+        x = np.arange(8)
+        basis = np.sqrt(2.0 / 8.0) * np.cos((2 * x + 1) * np.pi / 16)
+        want = np.clip(np.round(
+            32 * np.outer(np.full(8, np.sqrt(1.0 / 8.0)), basis) + 128),
+            0, 255).astype(np.uint8)
+        assert np.array_equal(img, want)
+
+    def test_hand_built_restart_interval(self):
+        """Two blocks with DRI=1 and an RST0 between: the DC predictor
+        must reset, so block 2's diff decodes against 0, not block 1."""
+        import struct as st
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            _AC_LUMA_BITS, _AC_LUMA_VALS, _DC_LUMA_BITS, _DC_LUMA_VALS,
+            decode_jpeg_gray)
+        dc = _hand_codes(_DC_LUMA_BITS, _DC_LUMA_VALS)
+        ac = _hand_codes(_AC_LUMA_BITS, _AC_LUMA_VALS)
+
+        def block(diff):
+            b = _HandBits()
+            if diff == 0:
+                b.put(*dc[0])
+            else:
+                t = abs(diff).bit_length()
+                b.put(*dc[t])
+                b.put(diff if diff > 0 else diff + (1 << t) - 1, t)
+            b.put(*ac[0x00])
+            return b.bytes_()
+
+        jpg = bytearray(self._headers(8, 16, [16] * 64))
+        jpg += bytes([0xFF, 0xDD]) + st.pack(">H", 4) + st.pack(">H", 1)
+        jpg += bytes([0xFF, 0xDA]) + st.pack(">H", 8) \
+            + bytes([1, 1, 0x00, 0, 63, 0])
+        jpg += block(3) + b"\xff\xd0" + block(3) + b"\xff\xd9"
+        img = decode_jpeg_gray(bytes(jpg))
+        # both blocks decode DC=3 (predictor reset): 134 everywhere
+        assert (img == 134).all() and img.shape == (8, 16)
+
+    def test_round_trip_quality_and_shapes(self):
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            decode_jpeg_gray, encode_jpeg_gray)
+        rng = np.random.default_rng(3)
+        for h, w in ((8, 8), (24, 33), (7, 5), (64, 48)):
+            yy, xx = np.mgrid[0:h, 0:w]
+            img = ((xx * 5 + yy * 3) % 200 + 20).astype(np.uint8)
+            dec = decode_jpeg_gray(encode_jpeg_gray(img, quality=95))
+            assert dec.shape == (h, w)
+            err = np.abs(dec.astype(int) - img.astype(int)).max()
+            assert err <= 8, (h, w, err)
+        noisy = rng.integers(0, 256, (17, 19)).astype(np.uint8)
+        d = decode_jpeg_gray(encode_jpeg_gray(noisy, quality=100))
+        assert np.abs(d.astype(int) - noisy.astype(int)).max() <= 1
+
+    def test_unsupported_forms_raise(self):
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            decode_jpeg_gray, encode_jpeg_gray)
+        img = np.zeros((8, 8), np.uint8)
+        enc = bytearray(encode_jpeg_gray(img))
+        i = enc.find(bytes([0xFF, 0xC0]))
+        enc[i + 1] = 0xC9                      # masquerade as arithmetic
+        with pytest.raises(NotImplementedError):
+            decode_jpeg_gray(bytes(enc))
+        enc[i + 1] = 0xC3                      # lossless is REAL now but
+        with pytest.raises(ValueError):        # a DCT SOS under SOF3 is
+            decode_jpeg_gray(bytes(enc))       # malformed (Ss=0)
+        with pytest.raises(ValueError):
+            decode_jpeg_gray(b"\x00\x01not a jpeg")
+
+    def test_hand_built_420_colour_mcu(self):
+        """One hand-assembled 4:2:0 MCU (16x16): four DC-only luma
+        blocks (chained predictor) + DC-only Cb/Cr. Expected RGB is
+        computed from the JFIF inverse transform on the hand-known
+        plane values — fully independent of the encoder."""
+        import struct as st
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            _AC_CHROMA_BITS, _AC_CHROMA_VALS, _AC_LUMA_BITS,
+            _AC_LUMA_VALS, _DC_CHROMA_BITS, _DC_CHROMA_VALS,
+            _DC_LUMA_BITS, _DC_LUMA_VALS, decode_jpeg, decode_jpeg_gray)
+        dc_l = _hand_codes(_DC_LUMA_BITS, _DC_LUMA_VALS)
+        ac_l = _hand_codes(_AC_LUMA_BITS, _AC_LUMA_VALS)
+        dc_c = _hand_codes(_DC_CHROMA_BITS, _DC_CHROMA_VALS)
+        ac_c = _hand_codes(_AC_CHROMA_BITS, _AC_CHROMA_VALS)
+
+        def put_dc(bits, diff, dc, ac):
+            if diff == 0:
+                bits.put(*dc[0])
+            else:
+                t = abs(diff).bit_length()
+                bits.put(*dc[t])
+                bits.put(diff if diff > 0 else diff + (1 << t) - 1, t)
+            bits.put(*ac[0x00])                 # EOB
+
+        bits = _HandBits()
+        for diff in (3, 1, -2, 1):              # Y blocks, chained DCs
+            put_dc(bits, diff, dc_l, ac_l)
+        put_dc(bits, 2, dc_c, ac_c)             # Cb DC = 2
+        put_dc(bits, -1, dc_c, ac_c)            # Cr DC = -1
+
+        def seg(m, body):
+            return bytes([0xFF, m]) + st.pack(">H", len(body) + 2) + body
+
+        jpg = bytearray(b"\xff\xd8")
+        jpg += seg(0xDB, bytes([0x00]) + bytes([16] * 64))
+        jpg += seg(0xDB, bytes([0x01]) + bytes([16] * 64))
+        jpg += seg(0xC0, st.pack(">BHHB", 8, 16, 16, 3)
+                   + bytes([1, 0x22, 0, 2, 0x11, 1, 3, 0x11, 1]))
+        jpg += seg(0xC4, bytes([0x00]) + bytes(_DC_LUMA_BITS)
+                   + bytes(_DC_LUMA_VALS))
+        jpg += seg(0xC4, bytes([0x10]) + bytes(_AC_LUMA_BITS)
+                   + bytes(_AC_LUMA_VALS))
+        jpg += seg(0xC4, bytes([0x01]) + bytes(_DC_CHROMA_BITS)
+                   + bytes(_DC_CHROMA_VALS))
+        jpg += seg(0xC4, bytes([0x11]) + bytes(_AC_CHROMA_BITS)
+                   + bytes(_AC_CHROMA_VALS))
+        jpg += seg(0xDA, bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]))
+        jpg += bits.bytes_() + b"\xff\xd9"
+        img = decode_jpeg(bytes(jpg))
+        assert img.shape == (16, 16, 3)
+        # plane values: DC-only IDCT = dc*quant/8 + 128
+        y_plane = np.zeros((16, 16))
+        for (qy, qx), dcv in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                 (3, 4, 2, 3)):  # cumulative predictor
+            y_plane[qy * 8:(qy + 1) * 8, qx * 8:(qx + 1) * 8] = \
+                128 + dcv * 16 / 8
+        cb, cr = (128 + 2 * 16 / 8) - 128.0, (128 - 1 * 16 / 8) - 128.0
+        want = np.stack([y_plane + 1.402 * cr,
+                         y_plane - 0.344136 * cb - 0.714136 * cr,
+                         y_plane + 1.772 * cb], axis=2)
+        want = np.clip(np.round(want), 0, 255).astype(np.uint8)
+        assert np.array_equal(img, want)
+        # luma accessor: the exact Y plane, no colour round trip
+        assert np.array_equal(decode_jpeg_gray(bytes(jpg)),
+                              y_plane.astype(np.uint8))
+
+    def test_colour_round_trips(self):
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            decode_jpeg, encode_jpeg, encode_jpeg_color)
+        h, w = 40, 56
+        yy, xx = np.mgrid[0:h, 0:w]
+        smooth = np.stack([np.clip(xx * 3 + 40, 0, 255),
+                           np.clip(yy * 2 + 60, 0, 255),
+                           np.clip(120 + xx + yy, 0, 255)],
+                          axis=2).astype(np.uint8)
+        for sub, tol in (("444", 6), ("420", 8)):
+            dec = decode_jpeg(encode_jpeg_color(smooth, quality=95,
+                                                subsampling=sub))
+            assert dec.shape == (h, w, 3)
+            err = np.abs(dec.astype(int) - smooth.astype(int)).max()
+            assert err <= tol, (sub, err)
+        # odd sizes keep exact output shape through MCU padding
+        rng = np.random.default_rng(11)
+        for hh, ww in ((7, 5), (17, 19), (16, 16), (8, 24)):
+            im = rng.integers(0, 255, (hh, ww, 3)).astype(np.uint8)
+            for sub in ("444", "420"):
+                d = decode_jpeg(encode_jpeg(im, quality=90,
+                                            subsampling=sub))
+                assert d.shape == (hh, ww, 3), (hh, ww, sub)
+
+    def test_feature_stage_decodes_colour_jpeg(self, ray_session):
+        """decoder='real' handles colour JPEG payloads end to end:
+        features equal pgm_features of the decoded image's channel
+        mean (same luma approximation as the PNG branch)."""
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import \
+            decode_jpeg
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (
+            extract_features, pgm_features, synth_media)
+        out = extract_features(
+            synth_media(8, seed=9, kind="jpeg_rgb"), decoder="real",
+            feature_dim=8, concurrency=2).take_all()
+        assert len(out) == 8
+        payloads = {r["media_id"]: r["payload"]
+                    for r in synth_media(8, seed=9,
+                                         kind="jpeg_rgb").take_all()}
+        for row in out:
+            img = decode_jpeg(payloads[row["media_id"]])
+            assert img.ndim == 3
+            want = pgm_features(img.mean(axis=2).astype(np.uint8), 8)
+            np.testing.assert_allclose(row["features"], want, rtol=1e-6)
+
+    def test_feature_stage_decodes_jpeg(self, ray_session):
+        """decoder='real' magic-byte dispatch: the actor-pool stage
+        extracts features from REAL JPEG payloads, equal to features of
+        the decoded pixels."""
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import \
+            decode_jpeg_gray
+        from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (
+            extract_features, pgm_features, synth_media)
+        out = extract_features(
+            synth_media(12, seed=5, kind="jpeg"), decoder="real",
+            feature_dim=8, concurrency=2).take_all()
+        assert len(out) == 12
+        rows = {r["media_id"]: r for r in out}
+        payloads = {r["media_id"]: r
+                    for r in synth_media(12, seed=5,
+                                         kind="jpeg").take_all()}
+        for mid, row in rows.items():
+            img = decode_jpeg_gray(payloads[mid]["payload"])
+            want = pgm_features(img, 8)
+            np.testing.assert_allclose(row["features"], want, rtol=1e-6)
 
     def test_resize_and_frame_sample_stubs(self, ray_session):
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal import (

@@ -5,7 +5,7 @@ the test — independent of the module's muxer — covering an unknown-size
 Segment and Cluster, BlockGroup + ReferenceBlock keyframe semantics,
 and all three lacing modes (Xiph, EBML, fixed). The round-trip tests
 then pin the muxer against the parser, and the pipeline tests pin
-PNG-in-WebM end-to-end through FrameSampler /
+Motion-JPEG-in-WebM end-to-end through FrameSampler /
 MediaFeatureExtractor."""
 
 import struct
@@ -186,11 +186,11 @@ class TestMuxRoundTrip:
 
 class TestPipelines:
     def test_frame_sampler_real_webm(self, ray_session):
-        """FrameSampler decoder='real' demuxes PNG-in-WebM: sampled
-        payloads are bit-identical to the PNG frames that were muxed,
-        and decode through the PNG codec."""
-        from hierarchical_bloom_filter_index_ray.functions.codecs import (
-            decode_png, encode_png)
+        """FrameSampler decoder='real' demuxes MJPEG-in-WebM: sampled
+        payloads are bit-identical to the JPEG frames that were muxed,
+        and decode through the from-scratch JPEG codec."""
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            decode_jpeg, encode_jpeg_gray)
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
             import FrameSampler, synth_frame, synth_media
         out = (synth_media(4, seed=11, kind="webm", frames=10)
@@ -202,10 +202,11 @@ class TestPipelines:
         assert len(out) == 12
         assert sorted(out["frame_no"].unique()) == [0, 3, 6]
         for _, row in out.iterrows():
-            want = synth_frame(row["media_id"], int(row["frame_no"]),
-                               seed=11, width=16, height=16)
-            assert bytes(row["payload"]) == encode_png(want)
-            assert np.array_equal(decode_png(bytes(row["payload"])), want)
+            want = encode_jpeg_gray(synth_frame(
+                row["media_id"], int(row["frame_no"]), seed=11,
+                width=16, height=16), quality=92)
+            assert bytes(row["payload"]) == want
+            assert decode_jpeg(bytes(row["payload"])).shape == (16, 16)
 
     def test_frame_sampler_snap_to_sync(self, ray_session):
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
@@ -222,8 +223,10 @@ class TestPipelines:
         assert (out["frame_no"].to_numpy() % 4 == 0).all()
 
     def test_feature_extractor_webm_thumbnail(self, ray_session):
-        """decoder='real' features of a webm equal the PGM features of
-        its middle keyframe's pixels."""
+        """decoder='real' features of a webm equal the JPEG features of
+        its middle keyframe."""
+        from hierarchical_bloom_filter_index_ray.functions.jpeg import (
+            decode_jpeg, encode_jpeg_gray)
         from hierarchical_bloom_filter_index_ray.pipelines.multimodal \
             import extract_features, pgm_features, synth_frame, \
             synth_media
@@ -233,6 +236,7 @@ class TestPipelines:
             .to_pandas().sort_values("media_id"))
         for mid, feats in zip(got["media_id"], got["features"]):
             # 10 frames, sync_every=4: middle sample 5 snaps to frame 4
-            img = synth_frame(mid, 4, seed=13, width=16, height=16)
+            img = decode_jpeg(encode_jpeg_gray(synth_frame(
+                mid, 4, seed=13, width=16, height=16), quality=92))
             assert np.allclose(np.asarray(feats),
                                pgm_features(img, 8), atol=1e-6)
