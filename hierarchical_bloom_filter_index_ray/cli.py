@@ -219,16 +219,18 @@ def cmd_decontam(a: argparse.Namespace) -> int:
 
 
 def _add_cfg_args(p: argparse.ArgumentParser) -> None:
+    from .config import HbiConfig
+    d = HbiConfig()
     p.add_argument("--address", default=None,
                    help="Ray address ('auto' joins an existing cluster; "
                         "default: local single-node session)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--docs-per-window", type=int, default=256)
-    p.add_argument("--fp", type=float, default=0.01)
-    p.add_argument("--ngram", type=int, default=1)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--docs-per-window", type=int, default=d.docs_per_window)
+    p.add_argument("--fp", type=float, default=d.fp)
+    p.add_argument("--ngram", type=int, default=d.ngram)
     p.add_argument("--hll-p", type=int, default=12)
-    p.add_argument("--cms-eps", type=float, default=0.02)
-    p.add_argument("--cms-delta", type=float, default=0.05)
+    p.add_argument("--cms-eps", type=float, default=d.cms_eps)
+    p.add_argument("--cms-delta", type=float, default=d.cms_delta)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -40,8 +40,10 @@ class HbiConfig:
     expected_tokens_per_doc: int = 128  # sizing prior, not a correctness input
     expected_distinct_per_doc: int = 96 # sigma_expect prior per leaf interval
     # --- sketch params ---
-    cms_eps: float = 0.001
-    cms_delta: float = 0.01
+    # one CMS table per (source, window) partial: 0.02/0.05 is 8192 x 3
+    # int64 cells (192 KiB); 0.001/0.01 would be 4M x 5 (160 MiB)
+    cms_eps: float = 0.02
+    cms_delta: float = 0.05
     hll_p: int = 14
     kll_k: int = 200
     tdigest_delta: float = 200.0

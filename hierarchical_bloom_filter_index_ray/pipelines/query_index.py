@@ -12,11 +12,12 @@ Mirrors the reference's query path (``PMIndex/HBI.report``
    doc slots. No false negatives by Bloom construction. Every query
    enters at the window's shallowest stored level and probes each node
    with its distinct n-gram keys (``search/BlockSearchCharSet.java``).
-2. **Verify** (``map_batches`` over the *sequences* Dataset, compact
-   numpy candidate structs broadcast — a semi-join): exact sliding-window
-   token-sequence match against the raw rows, the analogue of
-   ``search/VerifierLinearLeafProbe.java:16-150`` with the Parquet data as
-   the reference's ``StreamBuffer`` ground truth.
+2. **Verify** (``map_batches`` over the *sequences* Dataset — a
+   semi-join): each verify worker process turns the probe's materialized
+   candidate blocks into compact numpy structs once, then runs the exact
+   sliding-window token-sequence match against the raw rows, the analogue
+   of ``search/VerifierLinearLeafProbe.java:16-150`` with the Parquet data
+   as the reference's ``StreamBuffer`` ground truth.
 
 Result: exact (query_id, doc_id) matches — false positives are pruned by
 verification; the bloom tree only bounds the verify workload (that is the
@@ -43,9 +44,10 @@ from ..state.splitmix import derive_seed, hash_u64, splitmix64
 # cover at least this share of a batch's flat token array is matched by
 # one sequential sweep over the whole array instead of a segment gather
 _FULLSCAN_FRAC = 0.5
-# candidate exchange threshold: up to this many candidate pairs (~400 MB
-# of compact structs) are broadcast exactly; past it, candidate keys
-# aggregate into one fixed-size bloom that gates the verify stage
+# candidate hand-off threshold: up to this many candidate pairs (~400 MB
+# of compact structs) every verify worker builds the exact structs from
+# the probe's candidate blocks; past it, candidate keys aggregate into
+# one fixed-size bloom that gates the verify stage
 _BROADCAST_LIMIT = 16_000_000
 
 
@@ -356,63 +358,88 @@ def _match_pairs(flat: np.ndarray, offsets: np.ndarray,
             np.concatenate(out_cnt_parts))
 
 
-# per-worker-process cache of the last assembled candidate-struct set,
-# keyed by the exchange's ref identities: map_batches with a plain
-# callable instance runs as a TASK pool, so every task deserializes a
-# fresh ExactVerifier and would re-ray.get + re-assemble the same slice
-# structs (measured ~35 core-s per 288-query batch at 8 workers — plasma
-# fetch contention, not compute). Worker processes are reused across
-# tasks; caching one struct set per process cuts the fetches from
-# O(tasks) to O(workers). Holding the views pins at most one batch's
-# structs in plasma per worker until the next query batch replaces them.
-_STRUCT_CACHE: dict = {}
-# per-worker-process cache of the resolved candidate-gate bloom (see
-# BloomGateVerifier: the UDF must ship refs, not the bloom itself)
-_GATE_CACHE: dict = {}
+class _HoldOne:
+    """Per-worker-process cache holding ONE value, keyed by the refs it
+    is built from. map_batches with a plain callable instance runs as a
+    TASK pool: every task deserializes a fresh verifier and would re-fetch
+    and rebuild the same value (measured ~35 core-s per 288-query batch
+    at 8 workers — plasma fetch contention, not compute). Worker
+    processes are reused across tasks, so caching cuts the fetches from
+    O(tasks) to O(workers); holding one value pins at most one batch's
+    inputs per worker until the next query batch replaces them."""
+
+    def __init__(self):
+        self._key = self._value = None
+
+    def get(self, key, build):
+        if key != self._key:
+            self._key = self._value = None  # release before building
+            self._value = build()
+            self._key = key
+        return self._value
+
+
+_STRUCT_CACHE = _HoldOne()  # ExactVerifier: candidate structs
+_GATE_CACHE = _HoldOne()    # BloomGateVerifier: candidate-gate bloom
+
+
+def _candidate_structs(blocks: list[pa.Table], window_bits: int) -> dict:
+    """Probe candidate blocks (query_idx, source, window_id, slot) -> the
+    verify structs ``{source: (sorted doc_idx, offsets, query_idx)}``:
+    each source's distinct candidate doc indices, and per doc the sorted
+    indices of the queries that reached it."""
+    blocks = [b for b in blocks if b.num_rows]
+    if not blocks:
+        return {}
+    t = pa.concat_tables(blocks)
+    src = t["source"].cast(pa.string()).combine_chunks().dictionary_encode()
+    codes = src.indices.to_numpy(zero_copy_only=False)
+    di = ((t["window_id"].to_numpy().astype(np.int64) << window_bits)
+          | t["slot"].to_numpy())
+    qi = t["query_idx"].to_numpy().astype(np.int64)
+    order = np.lexsort((qi, di, codes))
+    codes, di, qi = codes[order], di[order], qi[order]
+    bounds = np.searchsorted(codes, np.arange(len(src.dictionary) + 1))
+    structs: dict[str, tuple] = {}
+    for c, name in enumerate(src.dictionary.to_pylist()):
+        a, b = int(bounds[c]), int(bounds[c + 1])
+        if a == b:
+            continue
+        uniq, starts = np.unique(di[a:b], return_index=True)
+        structs[name] = (uniq, np.append(starts, b - a).astype(np.int64),
+                         qi[a:b])
+    return structs
 
 
 class ExactVerifier:
-    """Sequences-side exact verification (semi-join on broadcast compact
-    candidate structs ``{source: (sorted_doc_idx, offsets, query_idx)}``)."""
+    """Sequences-side exact verification (semi-join on compact candidate
+    structs ``{source: (sorted_doc_idx, offsets, query_idx)}``).
 
-    def __init__(self, cfg: HbiConfig, cand_ref, queries_ref,
+    ``cands`` is that struct dict, or the refs of the probe's
+    materialized candidate blocks. Refs resolve LAZILY at the first batch
+    into structs built once per worker process (``_candidate_structs``,
+    held in ``_STRUCT_CACHE``): ``__init__`` runs on the DRIVER when the
+    instance is passed to map_batches, and resolving there would ship
+    every candidate inside each task's closure."""
+
+    def __init__(self, cfg: HbiConfig, cands, compiled: list[dict],
                  with_counts: bool = False):
         self.cfg = cfg
-        if isinstance(cand_ref, dict):
-            self.cands = cand_ref
-            self._cand_src = None
-        else:
-            # ObjectRef or list of hash-sliced struct refs from the
-            # parallel exchange: resolve LAZILY at first batch — this
-            # __init__ runs on the DRIVER when the instance is passed to
-            # map_batches, and an eager ray.get here would pull every
-            # struct into the task closure (shipped per task) instead of
-            # letting workers read them zero-copy from plasma
-            self.cands = None
-            self._cand_src = cand_ref
-        qs = ray.get(queries_ref) if not isinstance(queries_ref, list) \
-            else queries_ref
-        self.q_tokens = [np.asarray(q["tokens"], dtype=np.int32) for q in qs]
+        lazy = not isinstance(cands, dict)
+        self.cands = None if lazy else cands
+        self._block_refs = list(cands) if lazy else None
+        self.q_tokens = [np.asarray(q["tokens"], dtype=np.int32)
+                         for q in compiled]
         self.with_counts = with_counts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.window import doc_index
         if self.cands is None:
-            src = self._cand_src
-            key = (tuple(r.hex() for r in src) if isinstance(src, list)
-                   else src.hex())
-            cached = _STRUCT_CACHE.get(key)
-            if cached is not None:
-                self.cands = cached
-            else:
-                if isinstance(src, list):
-                    self.cands = {}
-                    for part in ray.get(src):
-                        self.cands.update(part)
-                else:
-                    self.cands = ray.get(src)
-                _STRUCT_CACHE.clear()  # hold at most one struct set
-                _STRUCT_CACHE[key] = self.cands
+            refs = self._block_refs
+            self.cands = _STRUCT_CACHE.get(
+                tuple(r.hex() for r in refs),
+                lambda: _candidate_structs(ray.get(refs),
+                                           self.cfg.window_bits))
         di = doc_index(batch)
         srcs = np.asarray(batch["source"].to_pylist(), dtype=object)
         # 1) collect all candidate (row, query) pairs of this batch
@@ -513,13 +540,9 @@ class BloomGateVerifier:
         if isinstance(self._bloom_ref, bytes):
             self.bloom = sketch_from_bytes(self._bloom_ref)
         else:
-            key = self._bloom_ref.hex()
-            cached = _GATE_CACHE.get(key)
-            if cached is None:
-                cached = sketch_from_bytes(ray.get(self._bloom_ref))
-                _GATE_CACHE.clear()  # hold at most one gate bloom
-                _GATE_CACHE[key] = cached
-            self.bloom = cached
+            self.bloom = _GATE_CACHE.get(
+                self._bloom_ref.hex(),
+                lambda: sketch_from_bytes(ray.get(self._bloom_ref)))
         qs = self._queries_ref if isinstance(self._queries_ref, list) \
             else ray.get(self._queries_ref)
         self.q_tokens = [np.asarray(q["tokens"], dtype=np.int32) for q in qs]
@@ -566,67 +589,6 @@ class BloomGateVerifier:
         if self.with_counts:
             cols["n_matches"] = pa.array(out_cnts, pa.int64())
         return pa.table(cols)
-
-
-@ray.remote
-def _split_block_parts(K: int, window_bits: int, block: pa.Table):
-    """Stage 1 of the candidate exchange shuffle: split ONE candidate
-    block into K per-slice parts (source hash-partitioned, numpy
-    payloads). Called with ``num_returns=K`` so each slice's share is an
-    independent object — the block itself is decoded exactly once, on a
-    task Ray can schedule next to the block (ADVICE r3: the old
-    single-stage design expanded every block ref into every slice task,
-    a K-fold fetch on a cluster)."""
-    import zlib as _z
-    out: list[dict[str, tuple]] = [dict() for _ in range(K)]
-    b = block
-    if b.num_rows:
-        col = b.column("source").combine_chunks()
-        de = (col if pa.types.is_dictionary(col.type)
-              else col.dictionary_encode())
-        vocab = de.dictionary.to_pylist()
-        idx = de.indices.to_numpy(zero_copy_only=False)
-        di_all = ((b["window_id"].to_numpy(zero_copy_only=False)
-                   << window_bits)
-                  | b["slot"].to_numpy(zero_copy_only=False))
-        qi_all = (b["query_idx"].to_numpy(zero_copy_only=False)
-                  .astype(np.int64))
-        for code, src in enumerate(vocab):
-            m = idx == code
-            if not m.any():
-                continue
-            k = _z.crc32(str(src).encode()) % K
-            out[k][str(src)] = (di_all[m], qi_all[m])
-    return tuple(out)
-
-
-@ray.remote
-def _merge_slice(window_bits: int, parts: list):
-    """Stage 2: merge one slice's per-block parts into compact verify
-    structs. ``parts`` is a list of NESTED ObjectRefs (not expanded as
-    args) resolved here, so the fetch is exactly this slice's own share
-    of each block — cross-node traffic equals the data the slice needs,
-    once. Two returns: ({source: (sorted_doc_idx, offsets, query_idx)},
-    window union) — the driver fetches only the tiny window union; the
-    structs go worker-to-worker through the object store."""
-    agg: dict[str, list[tuple]] = {}
-    for p in ray.get(list(parts)):
-        for src, pair in p.items():
-            agg.setdefault(src, []).append(pair)
-    structs: dict[str, tuple] = {}
-    wins_all: list[np.ndarray] = []
-    for src, chunks in agg.items():
-        di = np.concatenate([c[0] for c in chunks])
-        qi = np.concatenate([c[1] for c in chunks])
-        order = np.lexsort((qi, di))
-        di, qi = di[order], qi[order]
-        uniq, starts = np.unique(di, return_index=True)
-        offs = np.concatenate([starts, [len(di)]]).astype(np.int64)
-        structs[src] = (uniq, offs, qi)
-        wins_all.append(np.unique(uniq >> np.int64(window_bits)))
-    wins = (np.unique(np.concatenate(wins_all)) if wins_all
-            else np.empty(0, np.int64))
-    return structs, wins
 
 
 def _prune_files_by_windows(sequences_meta: list[dict],
@@ -746,7 +708,7 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
                      sequences_meta: list[dict] | None = None,
                      stats: dict | None = None):
     """Shared front of the membership query: compile -> async super
-    descend -> partition-pruned bloom probe -> candidate exchange ->
+    descend -> partition-pruned bloom probe -> one candidate hand-off ->
     LAZY verified-hits Dataset of (query_idx, doc_id[, n_matches]).
 
     Returns ``(hits_ds | None, compiled)``. Nothing hit-sized touches
@@ -762,31 +724,34 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
 
     ``super_dir``: an index directory holding cross-window super levels
     (``pipelines/super_index.py``, the reference's across-trees pruning
-    ``PMIndex/HBI.java:207-266``): the super descend runs asynchronously
-    next to the probe; once its ``SuperPruneResult`` lands, each window
-    probes only the queries that reached it and windows no query reached
-    are skipped — probe work drops from O(windows) to O(log windows) for
-    absent tokens. A store that does not summarize the current manifest
-    prunes nothing.
+    ``PMIndex/HBI.java:207-266``): the whole batch descends on one
+    coordinator actor, asynchronously next to the probe; once its
+    ``SuperPruneResult`` lands, each window probes only the queries that
+    reached it and windows no query reached are skipped — probe work
+    drops from O(windows) to O(log windows) for absent tokens. A store
+    that does not summarize the current manifest prunes nothing.
 
     ``stats``: optional dict filled with probe telemetry
     (candidates, n_queries, super_probes, mode) for benchmarking —
     the Ray analogue of the reference's perf counters
     (``utilities/BenchmarkOrchestrator.java`` CSV columns).
 
-    The candidate exchange broadcasts exact per-source structs up to
-    ``_BROADCAST_LIMIT`` candidate pairs and gates the verify through one
-    fixed-size candidate bloom past it (``_verify_distributed``).
+    The candidate hand-off: up to ``_BROADCAST_LIMIT`` candidate pairs,
+    the verify stage takes the refs of the probe's materialized candidate
+    blocks, and each verify worker process builds the exact per-source
+    structs from them once (``ExactVerifier``); past it, one fixed-size
+    candidate bloom gates the verify (``_verify_distributed``).
 
     ``sequences_meta``: optional window-aligned file layout of the
     sequences corpus — ``[{"path": ..., "window_lo": L, "window_hi": H}]``
-    (half-open window range per file, any source). When given and the
-    candidate exchange runs in broadcast mode, the verify stage reads
-    ONLY the files whose window range intersects a candidate window —
-    for selective queries the verify cost stops being O(corpus) and
-    becomes O(candidate windows), the sequences-side analogue of the
-    super-level index pruning. Results are identical either way (the
-    pruned set is a superset of every candidate's file).
+    (half-open window range per file, any source). When given, the verify
+    stage reads these files instead of ``sequences_ds``: ONLY those whose
+    window range intersects a window the super descend reached (a
+    superset of every true hit's window), or every file when no usable
+    store covers the scoped sources. For selective queries the verify
+    cost stops being O(corpus) and becomes O(reached windows), the
+    sequences-side analogue of the super-level index pruning. Results
+    are identical either way.
     """
     compiled = compile_queries(queries, cfg)
     # async descend: dispatched to the coordinator actor; the driver
@@ -829,13 +794,6 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
             _scope_filter_fn(None, None, per_query_scope),
             batch_format="pyarrow")
 
-    # candidate exchange: broadcast the exact per-source structs while the
-    # candidate count is sane (16M pairs ~ 400 MB of compact arrays built
-    # by PARALLEL hash-sliced tasks and shared via plasma — one copy per
-    # node, zero-copy numpy reads, and the exact structs let the verify
-    # probe ONLY the candidate (row, query) pairs); switch to the
-    # fixed-size bloom gate when a frequent token would make the broadcast
-    # corpus-sized
     import time as _time
     _t0 = _time.perf_counter()
     cand_mat = cand_ds.materialize()
@@ -850,68 +808,28 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
     mode = "broadcast" if n_cand <= _BROADCAST_LIMIT else "distributed"
     if stats is not None:
         stats["mode"] = mode
-    q_ref = ray.put(compiled)
-    _t1 = _time.perf_counter()
     if mode == "distributed":
         hits_ds = _verify_distributed(cand_mat, sequences_ds, compiled,
-                                      cfg, q_ref, n_cand, sources=sources,
+                                      cfg, ray.put(compiled), n_cand,
+                                      sources=sources,
                                       window_range=window_range,
                                       per_query_scope=per_query_scope,
                                       with_counts=with_counts)
-        if stats is not None:
-            stats["t_exchange"] = round(_time.perf_counter() - _t1, 3)
         return hits_ds, compiled
-    # PARALLEL candidate exchange: a two-stage shuffle of Ray tasks —
-    # per-block split (num_returns=K, each block decoded once, near its
-    # data), then per-slice merges over nested refs that fetch exactly
-    # their own share. The compact verify structs travel worker-to-worker
-    # through the object store; the driver only ever fetches the tiny
-    # per-slice candidate-window unions (for file pruning), and only when
-    # file pruning is on.
-    # file-pruning windows: prefer the descend's windows — a superset of
-    # every true hit's window (no false negatives by Bloom construction),
-    # so the exchange needs NO driver-side sync at all and the verify
-    # read schedules against lazy struct refs while the merge tasks are
-    # still running (round-4 scaling work: the exchange barrier was ~1 s
-    # of the per-batch serial floor)
-    cand_wins: np.ndarray | None = None
-    if not n_cand:
-        cand_wins = np.empty(0, np.int64)
-    elif sequences_meta is not None and sprune_ref is not None:
-        from .build_index import load_manifest
-        res = ray.get(sprune_ref)
-        man = load_manifest(super_dir)
-        if res is not None and man and man.get("sources"):
-            cand_wins = res.windows(
-                [s for s in man["sources"]
-                 if sources is None or s in sources])
-    refs = cand_mat.to_arrow_refs()
-    c_ref: list = []
-    if n_cand and refs:
-        K = min(16, max(2, len(refs)))
-        part_refs = [
-            _split_block_parts.options(num_returns=K).remote(
-                K, cfg.window_bits, r) for r in refs]
-        pairs = [_merge_slice.options(num_returns=2).remote(
-            cfg.window_bits, [pr[k] for pr in part_refs])
-            for k in range(K)]
-        c_ref = [p[0] for p in pairs]
-        if sequences_meta is not None and cand_wins is None:
-            # exact-union fallback (no usable store / uncovered source):
-            # window unions drive file pruning only — without
-            # sequences_meta, skip this driver sync entirely; the
-            # verify stage resolves the structs lazily on its workers
-            win_parts = [w for w in ray.get([p[1] for p in pairs])
-                         if len(w)]
-            cand_wins = (np.unique(np.concatenate(win_parts))
-                         if win_parts else np.empty(0, np.int64))
-    if cand_wins is None:
-        cand_wins = np.empty(0, np.int64)
-    if stats is not None:
-        stats["t_exchange"] = round(_time.perf_counter() - _t1, 3)
-    verify_ds = sequences_ds
+    verify_ds = sequences_ds if n_cand else None
     if sequences_meta is not None:
-        paths = _prune_files_by_windows(sequences_meta, cand_wins)
+        # file-pruning windows: the descend's, or None (read every file)
+        wins = np.empty(0, np.int64) if not n_cand else None
+        if n_cand and sprune_ref is not None:
+            from .build_index import load_manifest
+            res = ray.get(sprune_ref)
+            man = load_manifest(super_dir)
+            if res is not None and man and man.get("sources"):
+                wins = res.windows(
+                    [s for s in man["sources"]
+                     if sources is None or s in sources])
+        paths = ([m["path"] for m in sequences_meta] if wins is None
+                 else _prune_files_by_windows(sequences_meta, wins))
         if stats is not None:
             # verify-stage read telemetry (the reference's
             # BenchmarkOrchestrator bytes-scanned counters): how much of
@@ -926,19 +844,16 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
                     _os.path.getsize(m["path"]) for m in sequences_meta)
             except OSError:
                 pass
-        if not paths:
-            verify_ds = None
-        else:
-            import ray.data as rd_
-            # one block per file: stops the read from SplitBlocks-ing
-            # (which breaks Read->ExactVerifier fusion) — the token
-            # stream then never round-trips through the object store
-            verify_ds = rd_.read_parquet(
-                paths, override_num_blocks=len(paths))
+        # one block per file: stops the read from SplitBlocks-ing (which
+        # breaks Read->ExactVerifier fusion) — the token stream then
+        # never round-trips through the object store
+        verify_ds = (rd.read_parquet(paths, override_num_blocks=len(paths))
+                     if paths else None)
     if verify_ds is None:
         return None, compiled
     hits_ds = verify_ds.map_batches(
-        ExactVerifier(cfg, c_ref, q_ref, with_counts=with_counts),
+        ExactVerifier(cfg, cand_mat.to_arrow_refs(), compiled,
+                      with_counts=with_counts),
         batch_format="pyarrow", zero_copy_batch=True)
     return hits_ds, compiled
 

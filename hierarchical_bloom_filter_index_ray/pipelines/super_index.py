@@ -589,14 +589,6 @@ def _expand_allowed(f_src: np.ndarray, f_node: np.ndarray,
 
 
 _COORD_NAME = "hbi_super_coordinator"
-# descend shard pool: a 288-query batch descends ~1.5 s on ONE actor
-# (measured round 4) — a serial per-batch floor that caps query scaling.
-# Sharding the query list across a small actor pool moves that time into
-# the parallel fraction; small batches (the common oracle case) keep a
-# single actor. Each pool member caches the same read-only store; on a
-# multi-node cluster Ray spreads the pool, so the cache cost is per-node.
-_COORD_POOL = 4
-_QUERIES_PER_SHARD = 64
 
 
 @ray.remote(num_cpus=0)
@@ -604,12 +596,13 @@ class _SuperCoordinator:
     """Long-lived query-coordinator actor: holds the probe-ready super
     store cache (``_load_super_local``) so repeated query batches pay the
     store open/stack cost once per index, and the DESCEND RUNS OFF THE
-    DRIVER — the driver dispatches it and immediately proceeds to
-    schedule the probe pipeline, whose tasks resolve the result lazily
-    from the object store (reference semantics preserved: this is purely
-    an execution change of ``PMIndex/HBI.java:207-266`` across-trees
-    pruning). ``num_cpus=0``: the descend is a brief numpy burst; never
-    reserve a slot from the worker pool for it."""
+    DRIVER — the driver dispatches the whole batch to this one actor and
+    immediately proceeds to schedule the probe pipeline, whose tasks
+    resolve the result lazily from the object store (reference semantics
+    preserved: this is purely an execution change of
+    ``PMIndex/HBI.java:207-266`` across-trees pruning). ``num_cpus=0``:
+    the descend is a brief numpy burst; never reserve a slot from the
+    worker pool for it."""
 
     def prune(self, out_dir: str, cfg: HbiConfig, compiled: list[dict],
               sources, window_range):
@@ -631,72 +624,26 @@ class _SuperCoordinator:
         return True
 
 
-def _coordinator(shard: int = 0):
-    name = _COORD_NAME if shard == 0 else f"{_COORD_NAME}_{shard}"
-    return _SuperCoordinator.options(name=name, get_if_exists=True).remote()
-
-
-@ray.remote(num_cpus=0)
-def _merge_prune_results(offsets: list[int], parts: list
-                         ) -> SuperPruneResult | None:
-    """Merge per-shard descend results (shard s covers compiled queries
-    [offsets[s], offsets[s] + len(shard))) into one batch-wide
-    ``SuperPruneResult``: per-window allowed query lists concatenate
-    with the shard's query indices remapped to batch positions."""
-    parts = ray.get(list(parts))
-    if any(p is None for p in parts):
-        return None
-    per_src_a: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for off, p in zip(offsets, parts):
-        for s, (wins, offs, qi) in p.allowed.items():
-            seg = np.diff(offs)
-            per_src_a.setdefault(s, []).append(
-                (np.repeat(wins, seg), qi + off))
-    allowed: dict = {}
-    for s, chunks in per_src_a.items():
-        w = np.concatenate([c[0] for c in chunks])
-        q = np.concatenate([c[1] for c in chunks])
-        order = np.lexsort((q, w))
-        w, q = w[order], q[order]
-        uw, starts = np.unique(w, return_index=True)
-        offs = np.concatenate([starts, [len(w)]]).astype(np.int64)
-        allowed[s] = (uw, offs, q)
-    covered = set().union(*(p.covered_sources for p in parts))
-    return SuperPruneResult(allowed, sum(p.probes for p in parts), covered)
+def _coordinator():
+    return _SuperCoordinator.options(name=_COORD_NAME,
+                                     get_if_exists=True).remote()
 
 
 def super_prune_async(out_dir: str, cfg: HbiConfig, compiled: list[dict],
                       *, sources: list[str] | None = None,
                       window_range: tuple[int, int] | None = None):
-    """Dispatch the descend to the coordinator actor; returns an
-    ``ObjectRef[SuperPruneResult]`` — or None when the store cannot prune
-    (``_usable_meta``), checked driver-side from the tiny meta and
-    manifest files so the cheap no-op cases stay synchronous."""
+    """Dispatch the descend of the whole batch to the coordinator actor;
+    returns an ``ObjectRef[SuperPruneResult]`` — or None when the store
+    cannot prune (``_usable_meta``), checked driver-side from the tiny
+    meta and manifest files so the cheap no-op cases stay synchronous."""
     if _usable_meta(out_dir, cfg) is None:
         return None
-    n_shards = min(_COORD_POOL,
-                   max(1, len(compiled) // _QUERIES_PER_SHARD))
-    if n_shards <= 1:
-        return _coordinator().prune.remote(out_dir, cfg, compiled,
-                                           sources, window_range)
-    size = (len(compiled) + n_shards - 1) // n_shards
-    refs, offs = [], []
-    for s in range(n_shards):
-        part = compiled[s * size:(s + 1) * size]
-        if not part:
-            break
-        refs.append(_coordinator(s).prune.remote(
-            out_dir, cfg, part, sources, window_range))
-        offs.append(s * size)
-    # refs nested in a list (not expanded): the merge task ray.gets the
-    # small per-shard results itself
-    return _merge_prune_results.remote(offs, refs)
+    return _coordinator().prune.remote(out_dir, cfg, compiled, sources,
+                                       window_range)
 
 
-def warm_super_coordinator(out_dir: str, shards: int = _COORD_POOL
-                           ) -> bool:
-    """Open the super store inside the coordinator actor pool (one-time,
+def warm_super_coordinator(out_dir: str) -> bool:
+    """Open the super store inside the coordinator actor (one-time,
     untimed cost per index — the bench/driver analogue of query
     coordinators keeping the upper tree resident)."""
-    return all(ray.get([_coordinator(s).warm.remote(out_dir)
-                        for s in range(max(1, shards))]))
+    return ray.get(_coordinator().warm.remote(out_dir))

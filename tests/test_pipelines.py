@@ -1188,6 +1188,8 @@ class TestNgramJaccardJoin:
         equals the per-pair python-set oracle; no qualifying pair is
         missed (exhaustive check over all doc pairs); block layout
         (boundary reassembly) does not change results."""
+        from hierarchical_bloom_filter_index_ray.functions.tokenize import \
+            ngram_keys
         from hierarchical_bloom_filter_index_ray.pipelines import \
             ngram_jaccard_join
         from hierarchical_bloom_filter_index_ray.pipelines.dedup import \
@@ -1204,15 +1206,25 @@ class TestNgramJaccardJoin:
                          for t in raw["tokens"])))
         seed = derive_seed(42, "jaccard_ngram")
         ids = sorted(toks)
+        # each doc's gram set once; every pair scored from the cached sets
+        # with ngram_jaccard's rule (empty vs empty is 1.0)
+        grams = {d: set(ngram_keys(toks[d], np.array([0, len(toks[d])]),
+                                   3, seed)[0].tolist()) for d in ids}
         want = {}
         for i, a in enumerate(ids):
+            sa = grams[a]
             for b in ids[i + 1:]:
-                j = ngram_jaccard(toks[a], toks[b], 3, seed)
+                sb = grams[b]
+                inter = len(sa & sb)
+                union = len(sa) + len(sb) - inter
+                j = inter / union if union else 1.0
                 if j >= 0.5:
                     want[(a, b)] = j
         assert {(r["a"], r["b"]): r["jaccard"]
                 for _, r in got.iterrows()} == pytest.approx(want)
         assert len(want) > 3
+        for a, b in want:
+            assert want[(a, b)] == ngram_jaccard(toks[a], toks[b], 3, seed)
         # layout invariance: many tiny blocks exercise the boundary path
         got2 = ngram_jaccard_join(
             sequences_table(SF, seed=42).repartition(37), n=3,

@@ -121,6 +121,16 @@ class TestCountMin:
         c2 = sketch_from_bytes(cms.to_bytes())
         assert np.array_equal(cms.table, c2.table) and cms.total == c2.total
 
+    def test_default_config_table_is_small(self):
+        """Every (source, window) partial carries one CMS table, built
+        from the config: the default must stay small (0.001/0.01 made it
+        4M x 5 int64 cells, 160 MiB per partial)."""
+        from hierarchical_bloom_filter_index_ray import HbiConfig
+        from hierarchical_bloom_filter_index_ray.stages.sketch_build import \
+            PartialSketchBuilder
+        cms = PartialSketchBuilder(HbiConfig())._new_sketches()["cms"]
+        assert cms.table.nbytes <= 1 << 20
+
 
 # ------------------------------------------------------------------ hll ----
 class TestHLL:

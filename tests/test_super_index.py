@@ -338,16 +338,15 @@ class TestSuperCombinedModes:
         assert plain.num_rows > 0
         assert plain.equals(pruned)
 
-    def test_parallel_exchange_slices_match_serial_build(self,
-                                                          ray_session):
-        """The K hash-sliced struct-build tasks reproduce exactly the
-        single-pass serial construction: same sources, same sorted
-        (doc_idx, offsets, query_idx) arrays, same window unions —
-        including empty slices and multi-block sources."""
-        import ray
+    def test_candidate_structs_match_serial_build(self):
+        """The verify workers' one-pass struct build from the probe's
+        candidate blocks reproduces exactly the serial per-source
+        construction: same sources, same sorted (doc_idx, offsets,
+        query_idx) arrays, same candidate windows — including an empty
+        block and sources spread over several blocks."""
         import pyarrow as pa
         from hierarchical_bloom_filter_index_ray.pipelines.query_index \
-            import _merge_slice, _split_block_parts
+            import _candidate_structs
 
         rng = np.random.default_rng(3)
         window_bits = 5
@@ -363,20 +362,9 @@ class TestSuperCombinedModes:
                 "query_idx": pa.array(rng.integers(0, 7, n), pa.int64()),
             }))
         blocks.append(blocks[0].slice(0, 0))  # empty block
-        K = 4
-        block_refs = [ray.put(b) for b in blocks]
-        part_refs = [_split_block_parts.options(num_returns=K).remote(
-            K, window_bits, r) for r in block_refs]
-        outs = [_merge_slice.options(num_returns=2).remote(
-            window_bits, [pr[k] for pr in part_refs]) for k in range(K)]
-        structs: dict = {}
-        wins_parts = []
-        for sref, wref in outs:
-            structs.update(ray.get(sref))
-            w = ray.get(wref)
-            if len(w):
-                wins_parts.append(w)
-        got_wins = np.unique(np.concatenate(wins_parts))
+        structs = _candidate_structs(blocks, window_bits)
+        got_wins = np.unique(np.concatenate(
+            [u >> window_bits for u, _, _ in structs.values()]))
         # serial reference construction
         import pandas as pd
         df = pd.concat([b.to_pandas() for b in blocks])
@@ -396,6 +384,7 @@ class TestSuperCombinedModes:
             assert np.array_equal(gu, uniq)
             assert np.array_equal(go, offs)
             assert np.array_equal(gq, qi)
+        assert _candidate_structs(blocks[-1:], window_bits) == {}
 
     def test_per_query_scope_distributed_mode(self, index_dir, corpus,
                                               sample_tokens, monkeypatch):
@@ -422,44 +411,38 @@ class TestSuperCombinedModes:
 
 
 class TestRound4FloorCuts:
-    """Round-4 query-path floor work: the sharded descend merge and the
-    descend-union file pruning (exchange sync removal)."""
+    """Round-4 query-path floor work: the async descend on the one
+    coordinator actor and the descend-union file pruning."""
 
-    def test_sharded_descend_equals_single(self, index_dir, corpus,
-                                           sample_tokens):
-        """A batch large enough to shard across the coordinator pool
-        returns bit-identical prune state to the serial descend."""
+    def test_async_descend_equals_serial(self, index_dir, corpus,
+                                         sample_tokens):
+        """A 192-query batch descended on the coordinator actor returns
+        bit-identical prune state to the in-process descend."""
         import ray
 
         from hierarchical_bloom_filter_index_ray.pipelines.super_index \
-            import _QUERIES_PER_SHARD, super_prune, super_prune_async
+            import super_prune, super_prune_async
         queries = []
-        for i in range(3 * _QUERIES_PER_SHARD):
+        for i in range(192):
             toks = sample_tokens[i % len(sample_tokens)]
             queries.append((f"q{i}", [int(t) + (i // len(sample_tokens))
                                       for t in toks]))
         queries.append(("missing", [2**30 + 1, 2**30 + 2]))
         compiled = compile_queries(queries, CFG)
         serial = super_prune(index_dir, CFG, compiled)
-        sharded = ray.get(super_prune_async(index_dir, CFG, compiled))
-        assert serial is not None and sharded is not None
-        assert sharded.probes == serial.probes
-        assert sharded.covered_sources == serial.covered_sources
-        assert set(sharded.window_union) == set(serial.window_union)
+        remote = ray.get(super_prune_async(index_dir, CFG, compiled))
+        assert serial is not None and remote is not None
+        assert remote.probes == serial.probes
+        assert remote.covered_sources == serial.covered_sources
+        assert set(remote.window_union) == set(serial.window_union)
         for s, w in serial.window_union.items():
-            if w is None:
-                assert sharded.window_union[s] is None
-            else:
-                np.testing.assert_array_equal(sharded.window_union[s], w)
-        assert set(sharded.allowed) == set(serial.allowed)
+            np.testing.assert_array_equal(remote.window_union[s], w)
+        assert set(remote.allowed) == set(serial.allowed)
         for s, (wins, offs, qi) in serial.allowed.items():
-            w2, o2, q2 = sharded.allowed[s]
+            w2, o2, q2 = remote.allowed[s]
             np.testing.assert_array_equal(w2, wins)
             np.testing.assert_array_equal(o2, offs)
-            # per-window query lists are sets (merge may reorder)
-            for k in range(len(wins)):
-                assert (set(q2[o2[k]:o2[k + 1]].tolist())
-                        == set(qi[offs[k]:offs[k + 1]].tolist()))
+            np.testing.assert_array_equal(q2, qi)
 
     def test_prune_result_windows_and_queries_for(self, index_dir,
                                                   sample_tokens):
