@@ -13,6 +13,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+# Every LEVEL_STRIDE-th bloom level of the window tree is stored, plus the
+# leaf (``HbiConfig.stored_levels``). Only the leaf decides the candidates;
+# intermediate levels bound the traversal, and between two stored levels
+# the probe fans out 2^LEVEL_STRIDE children per surviving interval. 1 is
+# the reference's full ``ImplicitTree``.
+LEVEL_STRIDE = 3
+
 
 @dataclass(frozen=True)
 class HbiConfig:
@@ -103,10 +110,21 @@ class HbiConfig:
         """Levels 0..window_bits: root (whole window) to leaf (one doc)."""
         return self.window_bits + 1
 
+    def stored_levels(self) -> tuple[int, ...]:
+        """Bloom levels the index builds and stores: ``0, s, 2s, ...`` for
+        ``s = LEVEL_STRIDE``, plus the leaf. Level 0 always stays, because
+        the super levels OR-merge window roots."""
+        return tuple(sorted({*range(0, self.window_bits, LEVEL_STRIDE),
+                             self.window_bits}))
+
     def level_expected_distinct(self, level: int) -> int:
-        """Per-level Bloom capacity prior, mirroring
+        """Start size of every level's Bloom, mirroring
         ``PMIndex/HBI.java:693-702``: ``n_L = 2^L * min(sigma, span)`` with
-        span measured in expected tokens of one level-L interval."""
+        span measured in expected tokens of one level-L interval. Every
+        level is built (and partials OR-merge) at this prior; a finished
+        level other than 0 is then folded down to its fill
+        (``BloomFilter.fold_to_fill``), so the prior is an upper bound,
+        not the stored size."""
         docs_per_interval = self.docs_per_window >> level
         span_tokens = docs_per_interval * self.expected_tokens_per_doc
         sigma = self.expected_distinct_per_doc * docs_per_interval

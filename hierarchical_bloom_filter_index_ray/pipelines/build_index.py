@@ -58,7 +58,9 @@ PARTITIONS = "partitions"
 # negatives). params_hash covers CONFIG drift; FORMAT_VERSION covers
 # CODE drift at identical config. v3: every index is sharded
 # (``source=S/shard=K``); v2 kept unsharded rows under ``source=S``.
-FORMAT_VERSION = 3
+# v4: a bloom tree stores only ``HbiConfig.stored_levels``, and every
+# level but 0 is folded to its fill (v3 stored all levels at one m).
+FORMAT_VERSION = 4
 
 
 def load_manifest(out_dir: str) -> dict | None:

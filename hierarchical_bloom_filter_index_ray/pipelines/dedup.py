@@ -586,8 +586,11 @@ def ngram_jaccard_join(ds: "rd.Dataset", *, n: int = 3,
         parent = np.repeat(np.arange(batch.num_rows), counts)
         df = pd.DataFrame({"g": keys, "p": parent}).drop_duplicates()
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        # gram keys travel as a bit-preserving int64 view: Ray's groupby
+        # cannot convert uint64 keys >= 2^63 and falls back to pickled
+        # object blocks of mixed schema
         return pa.table({
-            "g": pa.array(df["g"].to_numpy(), pa.uint64()),
+            "g": pa.array(df["g"].to_numpy().view(np.int64), pa.int64()),
             "doc_id": pa.array(ids[df["p"].to_numpy()], pa.int64()),
         })
 
@@ -622,11 +625,11 @@ def ngram_jaccard_join(ds: "rd.Dataset", *, n: int = 3,
               .to_pandas())
     if not len(df_tbl) or "g" not in df_tbl.columns:
         # all-empty blocks lose the schema on to_pandas: no capped grams
-        df_tbl = pd.DataFrame({"g": pd.Series([], dtype=np.uint64),
+        df_tbl = pd.DataFrame({"g": pd.Series([], dtype=np.int64),
                                "df": pd.Series([], dtype=np.int64)})
     capped_keys = np.sort(
         df_tbl.sort_values("df", ascending=False)["g"]
-        .to_numpy()[:64].astype(np.uint64))
+        .to_numpy()[:64].astype(np.int64))
     K = len(capped_keys)
     mask_ref = None
     affected_ids = np.empty(0, np.int64)
@@ -635,7 +638,7 @@ def ngram_jaccard_join(ds: "rd.Dataset", *, n: int = 3,
 
         def capped_bits(t: pa.Table) -> pa.Table:
             ck = ray.get(capped_ref)
-            g = t["g"].to_numpy(zero_copy_only=False).astype(np.uint64)
+            g = t["g"].to_numpy(zero_copy_only=False)
             pos = np.searchsorted(ck, g)
             pos_c = np.minimum(pos, K - 1)
             m = ck[pos_c] == g
@@ -717,7 +720,7 @@ def ngram_jaccard_join(ds: "rd.Dataset", *, n: int = 3,
     if K:
         def drop_capped(t: pa.Table) -> pa.Table:
             ck = ray.get(capped_ref)
-            g = t["g"].to_numpy(zero_copy_only=False).astype(np.uint64)
+            g = t["g"].to_numpy(zero_copy_only=False)
             pos = np.minimum(np.searchsorted(ck, g), K - 1)
             return t.filter(pa.array(ck[pos] != g))
 

@@ -141,7 +141,8 @@ class BloomProbe:
                ) -> tuple[np.ndarray, np.ndarray]:
         """BFS over (interval, query) pairs from the shallowest stored
         level down to the leaves; returns surviving leaf pairs (slots,
-        query_idx). Levels dropped by the memory policy are skipped."""
+        query_idx). Levels the index does not store (``stored_levels``)
+        or that the memory policy dropped are skipped."""
         wb = self.cfg.window_bits
         n_iv = 1 << min(blooms)
         cur_iv = np.repeat(np.arange(n_iv, dtype=np.int64), len(qis))

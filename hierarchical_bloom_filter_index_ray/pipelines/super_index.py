@@ -46,6 +46,7 @@ import ray.data as rd
 
 from ..config import HbiConfig
 from ..state import sketch_from_bytes
+from ..state.bloom import popcount64
 from ..state.splitmix import derive_seed, splitmix64
 
 SUPER_DIR = "super"
@@ -62,11 +63,7 @@ def _root_salt(cfg: HbiConfig) -> np.uint64:
 
 def _fill(words: np.ndarray) -> float:
     """Set-bit fraction of a raw uint64 word array."""
-    if hasattr(np, "bitwise_count"):
-        bits = int(np.bitwise_count(words).sum())
-    else:
-        bits = int(np.unpackbits(words.view(np.uint8)).sum())
-    return bits / (len(words) * 64)
+    return int(popcount64(words).sum()) / (len(words) * 64)
 
 
 def _ref_bloom(cfg: HbiConfig):

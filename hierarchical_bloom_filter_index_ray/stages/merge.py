@@ -6,6 +6,11 @@ shuffle of the build, keyed exactly like the reference's per-tree locality
 (``PMIndex/HBI.java:230-261``). Merges are the sketch kernels' associative
 ``merge`` (Bloom OR, CMS add, HLL max, HOPS min-select, bottom-k re-top-k,
 KLL/t-digest compaction), so partial arrival order is irrelevant.
+
+Partials carry every stored bloom level at its start size, so they
+OR-merge; ``_index_row`` then folds each finished level but 0 to its fill
+(``BloomFilter.fold_to_fill``). Level 0 keeps the start size, because the
+super levels OR-merge window roots.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ def merge_payloads(payloads) -> dict:
 
 def finalize_unique_partials(group: pd.DataFrame, *,
                              params_hash: str) -> pd.DataFrame:
-    """Verbatim finalize of a (source, window) that received exactly ONE
-    partial (the common case when batch boundaries align with windows)
-    and no memory policy: its serialized bytes are reused as they are —
-    no deserialize/merge/recompress round-trip."""
+    """Finalize of a (source, window) that received exactly ONE partial
+    (the common case when batch boundaries align with windows) and no
+    memory policy: no merge; every blob but the bloom levels that fold
+    is reused as it is."""
     blobs = {k: ({int(lv): bytes(b) for lv, b in v.items()}
                  if isinstance(v, dict) else bytes(v))
              for k, v in pickle.loads(group["payload"].iloc[0]).items()}
@@ -87,20 +92,31 @@ def merge_partials_group(group: pd.DataFrame, *, params_hash: str,
                 freqs, int(group["n_tokens"].sum()),
                 quantile=policy["quantile"], conf=policy["conf"],
                 fp=policy["fp"], max_depth=policy["max_depth"])
-    blobs = {}
-    for k, v in merged.items():
-        if isinstance(v, dict):
-            blobs[k] = {lv: s.to_bytes() for lv, s in v.items()
-                        if lv >= keep_from}
-        else:
-            blobs[k] = v.to_bytes()
+    blobs = {k: ({lv: s for lv, s in v.items() if lv >= keep_from}
+                 if isinstance(v, dict) else v.to_bytes())
+             for k, v in merged.items()}
     return _index_row(group, blobs, params_hash)
+
+
+def _finish_level(lv: int, bloom) -> bytes:
+    """One finished bloom level (a blob or a live filter) -> its stored
+    blob: folded to its fill unless it is level 0."""
+    if lv == 0:
+        return bloom if isinstance(bloom, bytes) else bloom.to_bytes()
+    if isinstance(bloom, bytes):
+        bloom = sketch_from_bytes(bloom)
+    return bloom.fold_to_fill().to_bytes()
 
 
 def _index_row(group: pd.DataFrame, blobs: dict,
                params_hash: str) -> pd.DataFrame:
     """The one index row of a (source, window) group from its finished
-    per-kind blobs (``bloom_tree`` as a ``{level: bytes}`` dict)."""
+    per-kind blobs (``bloom_tree`` as a ``{level: blob or filter}`` dict,
+    whose levels are folded here)."""
+    if "bloom_tree" in blobs:
+        blobs = {**blobs, "bloom_tree": {
+            lv: _finish_level(lv, b)
+            for lv, b in blobs["bloom_tree"].items()}}
     row = {
         "source": [group["source"].iloc[0]],
         "window_id": [int(group["window_id"].iloc[0])],

@@ -14,9 +14,11 @@ inside the map stage").
 
 Hierarchical bloom insert mirrors ``PMIndex/HBI.java:215-267`` +
 ``tree/ImplicitTree.java:56-76``: for every n-gram position, insert
-``(interval_id(level), ngram_key)`` into every level's Bloom; per-level
-sizing per ``PMIndex/HBI.java:693-702`` via
-``HbiConfig.level_expected_distinct``.
+``(interval_id(level), ngram_key)`` into every STORED level's Bloom
+(``HbiConfig.stored_levels``: every third level plus the leaf); per-level
+start sizing per ``PMIndex/HBI.java:693-702`` via
+``HbiConfig.level_expected_distinct``. Partials keep that size so they
+OR-merge; the merge stage folds each finished level to its fill.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class PartialSketchBuilder:
 
     # -- sketch factories (identical params everywhere -> mergeable) -----
     def _new_sketches(self, drop_below: int = 0) -> dict:
-        """``drop_below``: first bloom level to BUILD (PREDICTIVE memory
-        policy pre-drop, ``PMIndex/HBI.java:241-242`` — shallower filters
-        are never allocated, updated, or shuffled)."""
+        """Bloom levels are the stored ones at or above ``drop_below``,
+        the PREDICTIVE memory-policy pre-drop (``PMIndex/HBI.java:241-242``
+        — shallower filters are never allocated, updated, or shuffled)."""
         cfg = self.cfg
         out: dict[str, object] = {}
         for kind in cfg.sketches:
@@ -62,7 +64,7 @@ class PartialSketchBuilder:
                 out[kind] = {
                     lv: BloomFilter(cfg.level_expected_distinct(lv), cfg.fp,
                                     derive_seed(cfg.seed, "bloom", lv))
-                    for lv in range(drop_below, cfg.num_levels)}
+                    for lv in cfg.stored_levels() if lv >= drop_below}
             elif kind == "hll":
                 out[kind] = HyperLogLog(cfg.hll_p, derive_seed(cfg.seed, "hll"))
             elif kind == "cms":

@@ -10,7 +10,11 @@ Semantics follow the reference's ``membership/BloomFilter.java``:
 - fill-based empirical FPR ``rho^k`` (``BloomFilter.java:52-59``),
 - distinct estimate ``-m/k * ln(1 - rho)`` (``BloomFilter.java:61-66``),
 - merge = bitwise OR of identically-parameterized filters (implied by the
-  reference's identical-seed requirement; here implemented).
+  reference's identical-seed requirement; here implemented),
+- fold = OR of the two halves of a power-of-two filter, an exact m/2
+  filter of the same keys (Broder & Mitzenmacher, "Network Applications
+  of Bloom Filters: A Survey", 2004); a finished index level is folded
+  down to its fill.
 """
 
 from __future__ import annotations
@@ -21,6 +25,20 @@ import numpy as np
 
 from .base import check_mergeable, register_sketch, write_blob
 from .splitmix import U64, derive_seed, hash_u64
+
+
+_M1, _M2, _M4, _H01 = (U64(0x5555555555555555), U64(0x3333333333333333),
+                       U64(0x0F0F0F0F0F0F0F0F), U64(0x0101010101010101))
+
+
+def popcount64(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word (SWAR bit count; numpy 1.26 has no
+    ``np.bitwise_count``)."""
+    x = words - ((words >> U64(1)) & _M1)
+    x = (x & _M2) + ((x >> U64(2)) & _M2)
+    x = (x + (x >> U64(4))) & _M4
+    with np.errstate(over="ignore"):
+        return ((x * _H01) >> U64(56)).view(np.int64)
 
 
 def bloom_dimensions(n: int, p: float) -> tuple[int, int]:
@@ -96,9 +114,7 @@ class BloomFilter:
     # -- estimates -------------------------------------------------------
     @property
     def fill_ratio(self) -> float:
-        set_bits = int(np.bitwise_count(self.words).sum()) if hasattr(np, "bitwise_count") else int(
-            np.unpackbits(self.words.view(np.uint8)).sum())
-        return set_bits / self.m
+        return int(popcount64(self.words).sum()) / self.m
 
     def fp_rate(self) -> float:
         """Empirical fill-based FPR rho^k (``BloomFilter.java:52-59``)."""
@@ -111,7 +127,29 @@ class BloomFilter:
             return float("inf")
         return -self.m / self.k * math.log1p(-rho)
 
-    # -- merge / serde ---------------------------------------------------
+    # -- fold / merge / serde --------------------------------------------
+    def fold(self) -> "BloomFilter":
+        """The m/2 filter of the same keys: the OR of the two halves.
+        Exact: bit addresses are masked with ``m - 1``, so it answers every
+        key as a filter built at m/2 would. It merges only with filters of
+        the same m."""
+        h = len(self.words) // 2
+        if not h:
+            raise ValueError("cannot fold a one-word bloom filter")
+        return BloomFilter(self.n, self.p, self.seed, m=self.m // 2,
+                           k=self.k, words=self.words[:h] | self.words[h:])
+
+    def fold_to_fill(self) -> "BloomFilter":
+        """The smallest fold whose fill-based FPR ``rho^k`` stays <= p;
+        ``self`` when even one fold would pass p."""
+        bf = self
+        while bf.m > 64:
+            half = bf.fold()
+            if half.fp_rate() > self.p:
+                break
+            bf = half
+        return bf
+
     def merge(self, other: "BloomFilter") -> "BloomFilter":
         check_mergeable(self, other, ("m", "k", "seed"))
         self.words |= other.words

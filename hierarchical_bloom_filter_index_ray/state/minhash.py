@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bloom import popcount64
 from .splitmix import U64, derive_seed, hash_u64
 
 _PERM_CHUNK = 16  # bound broadcast temp to chunk * n_tokens * 8 bytes
@@ -84,14 +85,7 @@ def simhash64(flat_tokens: np.ndarray, offsets: np.ndarray, seed: int) -> np.nda
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized Hamming distance between uint64 arrays."""
-    x = a ^ b
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x).astype(np.int64)
-    cnt = np.zeros(len(x), dtype=np.int64)
-    for _ in range(64):
-        cnt += (x & U64(1)).astype(np.int64)
-        x = x >> U64(1)
-    return cnt
+    return popcount64(a ^ b)
 
 
 def minhash_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> np.ndarray:

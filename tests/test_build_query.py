@@ -87,6 +87,50 @@ class TestBuild:
         with pytest.raises(ValueError, match="format_version"):
             load_manifest(str(stale))
 
+    def test_v3_index_asks_for_a_rebuild(self, index_dir, tmp_path):
+        """A v3 index stores every level at one m; this code stores folded
+        stored levels, so loading a v3 manifest asks for a rebuild."""
+        import json
+        import shutil
+
+        from hierarchical_bloom_filter_index_ray.pipelines.build_index \
+            import MANIFEST
+        stale = tmp_path / "v3_idx"
+        shutil.copytree(index_dir, stale)
+        man = json.loads((stale / MANIFEST).read_text())
+        man["format_version"] = 3
+        (stale / MANIFEST).write_text(json.dumps(man))
+        with pytest.raises(ValueError, match="format_version=3.*rebuild"):
+            load_manifest(str(stale))
+
+    def test_index_stores_folded_levels_over_an_unfolded_root(
+            self, index_dir):
+        """Every window stores exactly ``stored_levels()``; level 0 (and
+        ``root_bloom``) keeps its start m for the super OR-merge, and
+        every deeper level that folded sits at or below p."""
+        import pickle
+
+        from hierarchical_bloom_filter_index_ray.state.bloom import \
+            bloom_dimensions
+        idx = load_index(index_dir, columns=["bloom_tree", "root_bloom"]
+                         ).to_pandas()
+        folded = 0
+        for blob, root in zip(idx["bloom_tree"], idx["root_bloom"]):
+            tree = pickle.loads(blob)
+            assert tuple(sorted(tree)) == CFG.stored_levels()
+            assert root == tree[0]
+            for lv, b in tree.items():
+                bf = sketch_from_bytes(b)
+                start_m = bloom_dimensions(CFG.level_expected_distinct(lv),
+                                           CFG.fp)[0]
+                assert bf.m <= start_m
+                if lv == 0:
+                    assert bf.m == start_m
+                elif bf.m < start_m:
+                    folded += 1
+                    assert bf.fp_rate() <= CFG.fp
+        assert folded
+
     def test_window_partition_stats(self, index_dir, seq_table, ray_session):
         idx = load_index(index_dir, columns=["source", "window_id", "n_docs",
                                              "n_tokens"]).to_pandas()
@@ -184,6 +228,100 @@ class TestBuild:
                         "tdigest_ntok", "root_bloom", "n_docs", "n_tokens",
                         "index_bytes"):
                 assert (a[col] == b[col]).all(), col
+
+
+class TestStoredLevels:
+    def test_stored_levels(self, monkeypatch):
+        from hierarchical_bloom_filter_index_ray import config
+        assert HbiConfig(docs_per_window=256).stored_levels() == (0, 3, 6, 8)
+        assert HbiConfig(docs_per_window=4096).stored_levels() == (
+            0, 3, 6, 9, 12)
+        monkeypatch.setattr(config, "LEVEL_STRIDE", 1)
+        assert HbiConfig(docs_per_window=256).stored_levels() == tuple(
+            range(9))
+
+    def test_full_tree_answers_identically(self, monkeypatch):
+        """Ray-free build + probe at LEVEL_STRIDE 1 (the reference's full
+        tree) and at the default stride: the full tree's candidates are a
+        subset of the strided ones (it checks the same filters and more),
+        and both keep every true hit, so exact verify answers the same."""
+        import pickle
+
+        import pandas as pd
+
+        from hierarchical_bloom_filter_index_ray import config
+        from hierarchical_bloom_filter_index_ray.pipelines.query_index \
+            import BloomProbe, compile_queries
+        from hierarchical_bloom_filter_index_ray.stages.merge import \
+            merge_partials_group
+        from hierarchical_bloom_filter_index_ray.stages.sketch_build import \
+            PartialSketchBuilder
+        from hierarchical_bloom_filter_index_ray.stages.window import \
+            add_window_columns
+
+        cfg = HbiConfig(seed=3, docs_per_window=64, fp=0.01,
+                        expected_tokens_per_doc=64,
+                        expected_distinct_per_doc=48,
+                        sketches=("bloom_tree",))
+        rng = np.random.default_rng(8)
+        n = 1024                    # 16 full windows over 4 sources
+        docs = [(rng.zipf(1.3, rng.integers(8, 80)) % 3000).astype(np.int32)
+                for _ in range(n)]
+        table = pa.table({
+            "doc_id": pa.array(np.arange(n), pa.int64()),
+            "tokens": pa.array(docs, pa.list_(pa.int32())),
+            "n_tok": pa.array([len(d) for d in docs], pa.int32()),
+            "source": pa.array([f"s{(i >> 6) % 4}" for i in range(n)]),
+        })
+        queries = []
+        for i in range(40):
+            d = docs[int(rng.integers(n))]
+            k = int(rng.integers(1, 4))
+            s = int(rng.integers(len(d) - k + 1))
+            queries.append((f"p{i}", d[s:s + k].tolist()))
+        queries += [(f"m{i}", [5000 + i, 5001 + i]) for i in range(10)]
+        win = add_window_columns(table, cfg)
+        where = list(zip(win["source"].to_pylist(),
+                         win["window_id"].to_pylist(),
+                         win["slot"].to_pylist()))
+
+        def occurs(q, d):
+            L = len(q)
+            return any(d[j:j + L].tolist() == q
+                       for j in range(len(d) - L + 1))
+
+        oracle = {(qi, *where[r]) for qi, (_, q) in enumerate(queries)
+                  for r in range(n) if occurs(q, docs[r])}
+
+        def build_and_probe(stride):
+            monkeypatch.setattr(config, "LEVEL_STRIDE", stride)
+            builder = PartialSketchBuilder(cfg)
+            # 96-row batches split windows, so both finalize paths run
+            parts = pd.concat([
+                builder(add_window_columns(table.slice(s, 96), cfg))
+                .to_pandas() for s in range(0, n, 96)])
+            rows = pd.concat([
+                merge_partials_group(g, params_hash=cfg.params_hash())
+                for _, g in parts.groupby(["source", "window_id"])])
+            levels = {tuple(sorted(pickle.loads(b)))
+                      for b in rows["bloom_tree"]}
+            cands = BloomProbe(cfg, compile_queries(queries, cfg))(
+                pa.Table.from_pandas(
+                    rows[["source", "window_id", "bloom_tree"]],
+                    preserve_index=False))
+            return levels, set(zip(cands["query_idx"].to_pylist(),
+                                   cands["source"].to_pylist(),
+                                   cands["window_id"].to_pylist(),
+                                   cands["slot"].to_pylist()))
+
+        full_levels, full = build_and_probe(1)
+        strided_levels, strided = build_and_probe(3)
+        assert full_levels == {tuple(range(cfg.num_levels))}
+        assert strided_levels == {(0, 3, 6)}
+        assert oracle and oracle <= full <= strided
+        hits = {c for c in strided
+                if occurs(queries[c[0]][1], docs[where.index(c[1:])])}
+        assert hits == oracle
 
 
 class TestQuery:

@@ -65,3 +65,23 @@ def test_update_in_pieces_equals_single_update(stream):
         for i in range(0, len(keys), 7):
             inc.update(keys[i:i + 7])
         assert inc.to_bytes() == ref.to_bytes(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=streams, b=streams, shift=st.integers(0, 5))
+def test_fold_distributes_over_merge(a, b, shift):
+    """fold(A | B) == fold(A) | fold(B) at the same m: folding a merged
+    bloom equals merging folded ones."""
+    def bloom(*parts):
+        bf = BloomFilter(200, 0.05, SEED)
+        for p in parts:
+            bf.update(np.array(p, dtype=np.uint64))
+        return bf
+
+    def fold(bf):
+        for _ in range(shift):
+            bf = bf.fold()
+        return bf
+
+    assert (fold(bloom(a, b)).to_bytes()
+            == fold(bloom(a)).merge(fold(bloom(b))).to_bytes())

@@ -1279,6 +1279,56 @@ class TestNgramJaccardJoin:
                 for _, r in got.iterrows()} == pytest.approx(want)
 
 
+    def test_stop_gram_guard_with_high_bit_keys(self, ray_session):
+        """Capped grams whose uint64 keys are >= 2^63, over many blocks:
+        the join still equals the per-pair oracle (gram keys travel as an
+        int64 view, so the df groupby never sees an unrepresentable key)."""
+        from hierarchical_bloom_filter_index_ray.functions.tokenize import \
+            ngram_keys
+        from hierarchical_bloom_filter_index_ray.pipelines import \
+            ngram_jaccard_join
+        from hierarchical_bloom_filter_index_ray.pipelines.dedup import \
+            ngram_jaccard
+        from hierarchical_bloom_filter_index_ray.state.splitmix import \
+            derive_seed
+        seed = derive_seed(42, "jaccard_ngram")
+
+        def key(tri):
+            return int(ngram_keys(np.array(tri, np.int32),
+                                  np.array([0, 3]), 3, seed)[0][0])
+
+        # four stop trigrams, each with the key's top bit set
+        stops = [[t, t, t] for t in range(1, 400) if key([t, t, t]) >> 63]
+        stops = stops[:4]
+        assert len(stops) == 4
+        rng = np.random.default_rng(5)
+        docs = {}
+        for d in range(160):
+            body = rng.integers(1000, 20_000, 10).tolist()
+            docs[d] = body[:5] + sum(stops[:1 + d % 4], []) + body[5:]
+        docs[500] = docs[3][:-1] + [19_999]     # near-dup by real grams
+        docs[501] = stops[0] + stops[1]         # all grams capped
+        docs[502] = stops[1] + stops[0]
+        ds = rd.from_arrow(pa.table({
+            "doc_id": pa.array(sorted(docs), pa.int64()),
+            "tokens": pa.array([docs[d] for d in sorted(docs)],
+                               pa.list_(pa.int32())),
+        })).repartition(12)
+        got = ngram_jaccard_join(ds, n=3, threshold=0.5, seed=42, df_cap=20)
+        assert str(got["a"].dtype) == "int64"
+        ids = sorted(docs)
+        want = {}
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                j = ngram_jaccard(np.array(docs[a], dtype=np.int32),
+                                  np.array(docs[b], dtype=np.int32), 3, seed)
+                if j >= 0.5:
+                    want[(a, b)] = j
+        assert (501, 502) in want and (3, 500) in want
+        assert {(r["a"], r["b"]): r["jaccard"]
+                for _, r in got.iterrows()} == pytest.approx(want)
+
+
 class TestFrequentBigrams:
     def test_doc_frequent_bigrams_vs_python(self, ray_session):
         """Two-pass frequent-bigram score == pure-python oracle; docs with

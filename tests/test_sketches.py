@@ -74,6 +74,48 @@ class TestBloom:
         assert np.array_equal(bf.words, bf2.words)
         assert bf2.contains(keys).all()
 
+    def test_fold_keeps_every_key(self, rng):
+        keys = rng.integers(0, 2**62, size=2000, dtype=np.uint64)
+        bf = BloomFilter(50_000, 0.01, SEED)
+        bf.update(keys)
+        folded = bf
+        while folded.m > 64:
+            folded = folded.fold()
+            assert len(folded.words) == folded.m // 64
+            assert folded.contains(keys).all()
+        with pytest.raises(ValueError):
+            folded.fold()
+        filled = bf.fold_to_fill()
+        assert filled.m < bf.m
+        assert sketch_from_bytes(filled.to_bytes()).contains(keys).all()
+
+    @pytest.mark.parametrize("n_keys", [0, 10, 800, 5000, 20_000])
+    def test_fold_to_fill_is_the_smallest_m_within_p(self, rng, n_keys):
+        """Folding to the fill lands at or below p whenever it folds, and
+        one more fold would pass p; a filter already above p (more keys
+        than its sizing) is left as it is."""
+        keys = rng.integers(0, 2**62, size=n_keys, dtype=np.uint64)
+        bf = BloomFilter(5000, 0.01, SEED)
+        bf.update(keys)
+        filled = bf.fold_to_fill()
+        if filled.m < bf.m:
+            assert filled.fp_rate() <= bf.p
+        else:
+            assert filled is bf
+        if filled.m > 64:
+            assert filled.fold().fp_rate() > bf.p
+        assert filled.contains(keys).all()
+        if n_keys <= 800:
+            assert filled.m < bf.m
+        if n_keys == 20_000:
+            assert filled.m == bf.m
+
+    def test_folded_filters_merge_only_at_one_m(self):
+        bf = BloomFilter(500, 0.01, SEED)
+        with pytest.raises(ValueError):
+            BloomFilter(500, 0.01, SEED).merge(bf.fold())
+        assert bf.fold().merge(bf.fold()).m == bf.m // 2
+
 
 # ------------------------------------------------------------------ cms ----
 class TestCountMin:
