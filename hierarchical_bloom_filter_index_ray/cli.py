@@ -90,13 +90,11 @@ def cmd_build(a: argparse.Namespace) -> int:
 def _cfg_for_index(a: argparse.Namespace):
     """Query must probe with the EXACT config the index was built with;
     prefer the manifest's stored config over re-typed CLI args."""
-    from pathlib import Path
-    man = Path(a.index) / "manifest.json"
-    if man.exists():
-        stored = json.loads(man.read_text()).get("config")
-        if stored is not None:
-            from .config import HbiConfig
-            return HbiConfig.from_json(stored)
+    from .pipelines import load_manifest
+    man = load_manifest(a.index)
+    if man is not None and man.get("config") is not None:
+        from .config import HbiConfig
+        return HbiConfig.from_json(man["config"])
     return _cfg_from_args(a)
 
 

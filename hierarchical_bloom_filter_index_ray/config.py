@@ -74,20 +74,6 @@ class HbiConfig:
     super_fanout: int = 2
     super_max_levels: int = 24
     super_fill_cap: float = 0.9
-    # --- memory policy (reference REACTIVE policy, HBI.java:288-323):
-    # when set, each window keeps only bloom levels >= the safe Lp derived
-    # from its q-quantile token frequency (shallow filters that cannot
-    # prune are dropped at merge time) ---
-    policy_quantile: float | None = None
-    policy_conf: float = 0.95
-    # REACTIVE drops shallow levels AFTER the window merges (reference
-    # ``applyMemoryPolicy``); PREDICTIVE additionally applies the PREVIOUS
-    # window's Lp to the NEXT window at build time, so dropped levels are
-    # never built or shuffled (``PMIndex/HBI.java:241-242,317-318``).
-    # Divergence: windows build in parallel here, so prediction chains
-    # per-source within one builder batch and resets at batch boundaries
-    # (deterministic; the first window of each batch builds in full).
-    policy_mode: str = "reactive"
     # --- which sketch families to build per (source, window) partition ---
     sketches: tuple[str, ...] = field(default=(
         "bloom_tree", "hll", "cms", "kll_ntok", "tdigest_ntok", "hops",
@@ -98,8 +84,6 @@ class HbiConfig:
             raise ValueError("docs_per_window must be a power of two")
         if self.ngram < 1:
             raise ValueError("ngram must be >= 1")
-        if self.policy_mode not in ("reactive", "predictive"):
-            raise ValueError("policy_mode must be 'reactive' or 'predictive'")
 
     @property
     def window_bits(self) -> int:

@@ -60,7 +60,9 @@ PARTITIONS = "partitions"
 # (``source=S/shard=K``); v2 kept unsharded rows under ``source=S``.
 # v4: a bloom tree stores only ``HbiConfig.stored_levels``, and every
 # level but 0 is folded to its fill (v3 stored all levels at one m).
-FORMAT_VERSION = 4
+# v5: the stored config has no memory-policy keys, so every window
+# stores exactly ``stored_levels`` and ``params_hash`` changed.
+FORMAT_VERSION = 5
 
 
 def load_manifest(out_dir: str) -> dict | None:
@@ -159,6 +161,7 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
     ``super_levels``: also (re)build the cross-window super-level store
     (``pipelines/super_index.py``) — a tiny iterative aggregate over the
     per-window root blooms that bounds query probe work at O(log windows).
+    A config without ``bloom_tree`` has no roots, so it builds no store.
 
     ``shard_windows``: the resume and expiry unit. ``K`` partitions each
     source by ``shard = window_id // K`` — resume granularity becomes a
@@ -194,11 +197,6 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
         chain = chain.map_batches(
             _drop_done, batch_format="pyarrow",
             fn_kwargs={"done": done, "shard_windows": shard_windows})
-    policy = None
-    if cfg.policy_quantile is not None:
-        policy = {"quantile": cfg.policy_quantile,
-                  "conf": cfg.policy_conf, "fp": cfg.fp,
-                  "max_depth": cfg.window_bits}
     # materialize() ends the map execution before the shuffle: one fused
     # execution (the builder pool likely keeps its CPUs meanwhile) lost 4/4
     # perfbench build pairs on a 2-CPU Ray, -12% tok/s and +14% call p50
@@ -210,8 +208,7 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
      .materialize()
      .groupby(["source", "window_id"])
      .map_groups(merge_partials_group, batch_format="pandas",
-                 fn_kwargs={"params_hash": cfg.params_hash(),
-                            "policy": policy})
+                 fn_kwargs={"params_hash": cfg.params_hash()})
      .map_batches(_with_shard, batch_format="pandas",
                   fn_kwargs={"shard_windows": shard_windows})
      .write_parquet(str(out / PARTITIONS),
@@ -223,7 +220,7 @@ def build_index(ds: "rd.Dataset", cfg: HbiConfig, out_dir: str, *,
 
     manifest = _write_manifest(out, cfg, shard_windows,
                                round(time.perf_counter() - t0, 3), done)
-    if super_levels:
+    if super_levels and "bloom_tree" in cfg.sketches:
         from .super_index import build_super_index
         manifest["super"] = build_super_index(out_dir, cfg)
     return manifest
@@ -331,7 +328,8 @@ def expire_windows(out_dir: str, cfg: HbiConfig, *, before_window: int,
                                round(time.perf_counter() - t0, 3),
                                manifest["completed_shards"],
                                expired_before_window=before_window)
-    if super_levels and (out / "super").exists():
+    if (super_levels and "bloom_tree" in cfg.sketches
+            and (out / "super").exists()):
         if manifest["total_windows"] == 0:
             shutil.rmtree(out / "super")    # nothing left to summarize
             manifest["super"] = None

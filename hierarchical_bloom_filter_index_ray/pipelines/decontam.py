@@ -20,19 +20,17 @@ the candidate windows the tree admits.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import HbiConfig
 from ..functions.tokenize import hash_words, split_words
+from .build_index import load_manifest
 
 
 def _index_cfg(index_dir: str) -> HbiConfig:
-    man = Path(index_dir) / "manifest.json"
-    stored = json.loads(man.read_text()).get("config")
+    man = load_manifest(index_dir)
+    stored = None if man is None else man.get("config")
     if stored is None:
         raise ValueError(f"{index_dir} has no manifest config")
     return HbiConfig.from_json(stored)

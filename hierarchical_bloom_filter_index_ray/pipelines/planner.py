@@ -1,19 +1,13 @@
-"""Level-choice math used by the index build and its config.
+"""HOPS bucket design used by the index config.
 
-Re-derives the reference's pruning-plan math in our doc-slot tree terms:
+``design_hops_buckets`` and its DKW/occupancy helpers give the HOPS
+bucket count that ``HbiConfig`` derives for a rank-error target.
 
-- ``pruning_level_bloom``: the alpha -> Lp mapping of
-  ``utilities/MathUtils.java:121-157`` — the deepest level whose interval
-  span still contains a token of per-slot probability p with confidence
-  ``conf``, discounted by the Bloom false-positive rate beta (shallower
-  levels answer "yes" almost surely and are uninformative).
-  NOTE: the reference's ``log2`` helper actually computes ln
-  (``MathUtils.java:161-163``); we implement the documented base-2 intent
-  and clamp to the same [0, max_depth] range.
-- ``memory_policy_level``: the build-time memory policy built on it —
-  the first tree level worth storing for a window.
-- ``design_hops_buckets`` and its DKW/occupancy helpers: the HOPS
-  bucket count that ``HbiConfig`` derives for a rank-error target.
+The build has one level rule: every window stores exactly
+``HbiConfig.stored_levels``, each level but 0 folded to its fill. The
+reference's memory policy (``PMIndex/HBI.java:288-323``), which drops a
+window's shallow levels from a token-frequency quantile, is not carried:
+fold already shrinks a level that cannot prune to a few words.
 
 The query side has no planner: a probe enters every window at its
 shallowest stored level (see ``query_index.BloomProbe``). The
@@ -24,30 +18,6 @@ the answer, and none paid on the measured query batch.
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-
-def pruning_level_bloom(base_interval_tokens: float, max_depth: int,
-                        conf: float, prob: float, beta: float) -> int:
-    """Seed level in [0, max_depth] (0 = root, max_depth = leaf)."""
-    conf = min(max(conf, 0.0), 1.0)
-    beta = min(max(beta, 0.0), 1.0)
-    prob = min(max(prob, 0.0), 1.0 - 1e-15)
-    if conf <= beta:
-        return max_depth
-    if prob <= 0.0:
-        return 0
-    log_one_minus_prob = math.log1p(-prob)
-    numerator = math.log1p(-conf) - math.log1p(-beta)
-    b_alpha_q = numerator / log_one_minus_prob
-    if not math.isfinite(b_alpha_q) or b_alpha_q <= 0.0:
-        return 0
-    ratio = base_interval_tokens / b_alpha_q
-    if ratio <= 0:
-        return 0
-    lp = math.ceil(math.log2(ratio)) + 1
-    return int(min(max(lp, 0), max_depth))
 
 
 # ------------------------------------------------- HOPS bucket auto-design --
@@ -145,22 +115,3 @@ def design_hops_buckets(distinct_estimate: int, eps_target: float,
         else:
             lo = mid + 1
     return result(best, True)
-
-
-def memory_policy_level(freqs: np.ndarray, window_tokens: int, *,
-                        quantile: float, conf: float, fp: float,
-                        max_depth: int) -> int:
-    """REACTIVE memory policy (``PMIndex/HBI.java:288-323``): from a
-    distinct-key frequency sample of the window (HOPS/bottom-k
-    representatives + CMS counts), take the q-quantile frequency and keep
-    only levels >= the safe Lp — the shallow filters cannot prune tokens
-    this frequent, so they are dropped (``ImplicitTree.dropFiltersUpToLp``
-    ``tree/ImplicitTree.java:112-122``). Returns the first level to KEEP."""
-    if len(freqs) == 0 or window_tokens <= 0:
-        return 0
-    freqs = np.sort(np.asarray(freqs, dtype=np.float64))
-    rank = max(0, math.ceil(quantile * len(freqs)) - 1)
-    p_q = float(np.clip(freqs[rank] / window_tokens, 1e-12, 1 - 1e-9))
-    base = window_tokens / (1 << max_depth)
-    lp = pruning_level_bloom(base, max_depth, conf, p_q, fp)
-    return int(min(lp, max_depth))

@@ -142,7 +142,7 @@ class BloomProbe:
         """BFS over (interval, query) pairs from the shallowest stored
         level down to the leaves; returns surviving leaf pairs (slots,
         query_idx). Levels the index does not store (``stored_levels``)
-        or that the memory policy dropped are skipped."""
+        are skipped."""
         wb = self.cfg.window_bits
         n_iv = 1 << min(blooms)
         cur_iv = np.repeat(np.arange(n_iv, dtype=np.int64), len(qis))
@@ -198,7 +198,9 @@ class BloomProbe:
             blobs = batch["bloom_tree"].to_pylist()
             for i, blob in zip(rows, blobs):
                 if blob is None:
-                    continue
+                    raise ValueError(
+                        f"index row ({sources[i]}, {windows[i]}) has no "
+                        "bloom_tree: it cannot answer membership queries")
                 blooms = {int(lv): sketch_from_bytes(b)
                           for lv, b in pickle.loads(blob).items()}
                 slots, qi = self._sweep(blooms, qsets[i])
@@ -754,6 +756,10 @@ def _membership_hits(index_ds: "rd.Dataset", sequences_ds: "rd.Dataset",
     sequences-side analogue of the super-level index pruning. Results
     are identical either way.
     """
+    if "bloom_tree" not in cfg.sketches:
+        raise ValueError(
+            "membership queries need a bloom_tree index; this config "
+            f"builds only {list(cfg.sketches)}")
     compiled = compile_queries(queries, cfg)
     # async descend: dispatched to the coordinator actor; the driver
     # proceeds to schedule the probe pipeline and every consumer resolves

@@ -20,8 +20,9 @@ Each level's total bytes shrink by F, so the whole super index costs
 ~1/(F-1) of ONE tree level. Fixed-size filters saturate as load doubles
 per level; stacking stops at ``super_fill_cap`` mean fill (a saturated
 level cannot prune — query correctness never depends on super levels,
-they only bound probe work). A window whose level-0 filter was dropped by
-the memory policy propagates as an always-pass (null) node.
+they only bound probe work). Every window stores its level-0 filter, so
+every node has a bloom; an index row without one is corrupt and fails
+the build.
 
 Query: descend from the top level, probing each frontier node with each
 query's level-0 keys; survivors fan out to their F children; level-1
@@ -52,7 +53,6 @@ from ..state.splitmix import derive_seed, splitmix64
 SUPER_DIR = "super"
 SUPER_META = "super_meta.json"
 STORE_FORMAT = 2  # 2 = raw uint64 bloom words (v1 stored write_blob blobs)
-_SAT = "__saturated__"  # accumulator sentinel: child missing -> always-pass
 
 
 def _root_salt(cfg: HbiConfig) -> np.uint64:
@@ -77,14 +77,19 @@ def _ref_bloom(cfg: HbiConfig):
 
 
 def _extract_roots(batch: pd.DataFrame, fanout: int) -> pd.DataFrame:
-    """Index rows -> level-0 node rows (source, node_id, bloom|None), from
+    """Index rows -> level-0 node rows (source, node_id, bloom), from
     the dedicated ``root_bloom`` column (written by ``stages/merge.py``
-    precisely so this scan reads ~1/levels of the index)."""
+    precisely so this scan reads ~1/levels of the index). A null root
+    raises: every window stores level 0, so one is missing only from a
+    corrupt index."""
     # super store protocol: RAW uint64 bloom words (no per-node blob
     # header/zlib — the descend decodes thousands of nodes; frombuffer is
     # free, zlib was the serial driver cost). Filter params (m, k, seed)
     # are reconstructed from the config at probe time.
-    blooms = [None if b is None else sketch_from_bytes(b).words.tobytes()
+    if batch["root_bloom"].isna().any():
+        raise ValueError("index row without a root_bloom: the index is "
+                         "corrupt; rebuild it")
+    blooms = [sketch_from_bytes(b).words.tobytes()
               for b in batch["root_bloom"]]
     return pd.DataFrame({
         "source": batch["source"].astype(str),
@@ -101,38 +106,29 @@ def _build_subtree(g: pd.DataFrame, *, base_level: int, fanout: int,
                    height: int) -> pd.DataFrame:
     """map_groups reduce: from one subtree's level-``base_level`` nodes,
     OR-merge upward ``height`` levels locally (numpy word ORs — no
-    per-level Ray job). Emits rows for levels base+1..base+height. A
-    missing/always-pass child (None bloom) makes every ancestor
-    always-pass."""
-    cur: dict[int, object] = {}
+    per-level Ray job). Emits rows for levels base+1..base+height."""
+    cur: dict[int, np.ndarray] = {}
     src = str(g["source"].iloc[0])
     for node, blob in zip(g["node_id"], g["bloom"]):
-        cur[int(node)] = (None if blob is None
-                          else np.frombuffer(blob, dtype=np.uint64))
+        cur[int(node)] = np.frombuffer(blob, dtype=np.uint64)
     out_src, out_lv, out_node, out_bloom, out_fill = [], [], [], [], []
     for h in range(1, height + 1):
-        nxt: dict[int, object] = {}
+        nxt: dict[int, np.ndarray] = {}
         for node, words in cur.items():
             parent = node // fanout
-            if parent in nxt and nxt[parent] is _SAT:
-                continue
-            if words is None:
-                nxt[parent] = _SAT
-                continue
             acc = nxt.get(parent)
             if acc is None:
                 # copy-on-first-merge keeps child rows reusable
                 nxt[parent] = words.copy()
-            elif acc is not _SAT:
+            else:
                 acc |= words
         for parent, acc in sorted(nxt.items()):
-            sat = acc is _SAT
             out_src.append(src)
             out_lv.append(base_level + h)
             out_node.append(parent)
-            out_bloom.append(None if sat else acc.tobytes())
-            out_fill.append(1.0 if sat else _fill(acc))
-        cur = {n: (None if a is _SAT else a) for n, a in nxt.items()}
+            out_bloom.append(acc.tobytes())
+            out_fill.append(_fill(acc))
+        cur = nxt
     return pd.DataFrame({
         "source": out_src,
         "level": pd.Series(out_lv, dtype="int32"),
@@ -343,20 +339,17 @@ class _Level:
     ``np.stack`` was the dominant serial probe cost), plus a per-source
     sorted node index for vectorized (source, node) -> row lookup."""
 
-    __slots__ = ("index", "mat", "null_rows", "sources", "nodes")
+    __slots__ = ("index", "mat", "sources", "nodes")
 
     def __init__(self, df: pd.DataFrame):
         srcs = df["source"].astype(str).to_numpy(dtype=object)
         nodes = df["node_id"].to_numpy().astype(np.int64)
         blobs = list(df["bloom"])
-        null = np.array([b is None for b in blobs], dtype=bool)
-        n_words = next((len(b) // 8 for b in blobs if b is not None), 0)
+        n_words = len(blobs[0]) // 8 if blobs else 0
         mat = np.zeros((len(blobs), max(n_words, 1)), dtype=np.uint64)
         for i, b in enumerate(blobs):
-            if b is not None:
-                mat[i] = np.frombuffer(b, dtype=np.uint64)
+            mat[i] = np.frombuffer(b, dtype=np.uint64)
         self.mat = mat
-        self.null_rows = null
         self.sources = srcs
         self.nodes = nodes
         self.index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -536,17 +529,14 @@ def _descend(load, top: int, F: int, cfg: HbiConfig,
         present = rows >= 0
         f_src, f_node, f_qi, rows = (f_src[present], f_node[present],
                                      f_qi[present], rows[present])
-        nullr = L.null_rows[rows]
-        ok = nullr.copy()  # always-pass nodes (policy-dropped children)
-        todo = ~nullr
-        if todo.any():
-            for qi in np.unique(f_qi[todo]):
-                sel = todo & (f_qi == qi)
-                r = rows[sel]
-                vals = ((L.mat[r[:, None], widx[qi][None, :]]
-                         >> bbits[qi][None, :]) & np.uint64(1))
-                ok[sel] = vals.all(axis=1)
-                probes += len(r)
+        ok = np.zeros(len(rows), dtype=bool)
+        for qi in np.unique(f_qi):
+            sel = f_qi == qi
+            r = rows[sel]
+            vals = ((L.mat[r[:, None], widx[qi][None, :]]
+                     >> bbits[qi][None, :]) & np.uint64(1))
+            ok[sel] = vals.all(axis=1)
+            probes += len(r)
         f_src, f_node, f_qi = f_src[ok], f_node[ok], f_qi[ok]
         if lv == 1:
             break

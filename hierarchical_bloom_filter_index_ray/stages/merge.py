@@ -29,11 +29,11 @@ INDEX_BLOB_COLS = ("bloom_tree", "hll", "cms", "kll_ntok", "tdigest_ntok",
 def merge_payloads(payloads) -> dict:
     """Merge a sequence of pickled sketch-dict payloads into live sketches.
 
-    ``bloom_tree`` payloads are ``{level: bytes}`` dicts (PREDICTIVE
-    pre-drop may omit shallow levels); the merged tree keeps the
-    INTERSECTION of levels — a level absent from any partial would be
-    missing that partial's keys and probing it would yield false
-    negatives."""
+    ``bloom_tree`` payloads are ``{level: bytes}`` dicts, merged level by
+    level. Every partial of a window carries ``stored_levels()``; two
+    partials with different level sets raise ``ValueError``, because a
+    level missing from one partial would lack that partial's keys and
+    probing it would yield false negatives."""
     acc: dict[str, object] = {}
     for raw in payloads:
         blob = pickle.loads(raw)
@@ -43,11 +43,14 @@ def merge_payloads(payloads) -> dict:
                           for lv, b in data.items()}
                 if kind not in acc:
                     acc[kind] = levels
-                else:
-                    mine = acc[kind]
-                    common = set(mine) & set(levels)
-                    acc[kind] = {lv: mine[lv].merge(levels[lv])
-                                 for lv in common}
+                    continue
+                mine = acc[kind]
+                if set(mine) != set(levels):
+                    raise ValueError(
+                        f"partials carry different {kind} levels: "
+                        f"{sorted(mine)} != {sorted(levels)}")
+                for lv, bloom in levels.items():
+                    mine[lv].merge(bloom)
             else:
                 sk = sketch_from_bytes(data)
                 if kind not in acc:
@@ -60,40 +63,26 @@ def merge_payloads(payloads) -> dict:
 def finalize_unique_partials(group: pd.DataFrame, *,
                              params_hash: str) -> pd.DataFrame:
     """Finalize of a (source, window) that received exactly ONE partial
-    (the common case when batch boundaries align with windows) and no
-    memory policy: no merge; every blob but the bloom levels that fold
-    is reused as it is."""
+    (the common case when batch boundaries align with windows): no merge;
+    every blob but the bloom levels that fold is reused as it is."""
     blobs = {k: ({int(lv): bytes(b) for lv, b in v.items()}
                  if isinstance(v, dict) else bytes(v))
              for k, v in pickle.loads(group["payload"].iloc[0]).items()}
     return _index_row(group, blobs, params_hash)
 
 
-def merge_partials_group(group: pd.DataFrame, *, params_hash: str,
-                         policy: dict | None = None) -> pd.DataFrame:
+def merge_partials_group(group: pd.DataFrame, *,
+                         params_hash: str) -> pd.DataFrame:
     """map_groups fn (plain function -> elastic task pool, no CPU pinning):
     partial rows of one (source, window) -> one index row with per-kind blob
     columns + stats. The ``bloom_tree`` column holds a pickled
-    ``{level: bytes}`` dict (levels may be dropped by the memory policy).
-    A single partial with no policy takes ``finalize_unique_partials``.
+    ``{level: bytes}`` dict of ``stored_levels()``. A single partial takes
+    ``finalize_unique_partials``.
     """
-    if len(group) == 1 and policy is None:
+    if len(group) == 1:
         return finalize_unique_partials(group, params_hash=params_hash)
     merged = merge_payloads(group["payload"].tolist())
-    keep_from = 0
-    if policy is not None and "bloom_tree" in merged:
-        from ..pipelines.planner import memory_policy_level
-        cms = merged.get("cms")
-        sampler = merged.get("bottomk") or merged.get("hops")
-        if cms is not None and sampler is not None:
-            reps = sampler.sample_keys()
-            freqs = cms.estimate(reps) if len(reps) else []
-            keep_from = memory_policy_level(
-                freqs, int(group["n_tokens"].sum()),
-                quantile=policy["quantile"], conf=policy["conf"],
-                fp=policy["fp"], max_depth=policy["max_depth"])
-    blobs = {k: ({lv: s for lv, s in v.items() if lv >= keep_from}
-                 if isinstance(v, dict) else v.to_bytes())
+    blobs = {k: v if isinstance(v, dict) else v.to_bytes()
              for k, v in merged.items()}
     return _index_row(group, blobs, params_hash)
 

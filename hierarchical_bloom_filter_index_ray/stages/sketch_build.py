@@ -53,10 +53,9 @@ class PartialSketchBuilder:
              for lv in range(cfg.num_levels)], dtype=np.uint64)
 
     # -- sketch factories (identical params everywhere -> mergeable) -----
-    def _new_sketches(self, drop_below: int = 0) -> dict:
-        """Bloom levels are the stored ones at or above ``drop_below``,
-        the PREDICTIVE memory-policy pre-drop (``PMIndex/HBI.java:241-242``
-        — shallower filters are never allocated, updated, or shuffled)."""
+    def _new_sketches(self) -> dict:
+        """Fresh sketches of every configured family; ``bloom_tree`` is
+        one start-size filter per level of ``HbiConfig.stored_levels``."""
         cfg = self.cfg
         out: dict[str, object] = {}
         for kind in cfg.sketches:
@@ -64,7 +63,7 @@ class PartialSketchBuilder:
                 out[kind] = {
                     lv: BloomFilter(cfg.level_expected_distinct(lv), cfg.fp,
                                     derive_seed(cfg.seed, "bloom", lv))
-                    for lv in cfg.stored_levels() if lv >= drop_below}
+                    for lv in cfg.stored_levels()}
             elif kind == "hll":
                 out[kind] = HyperLogLog(cfg.hll_p, derive_seed(cfg.seed, "hll"))
             elif kind == "cms":
@@ -138,19 +137,10 @@ class PartialSketchBuilder:
         row_bounds = np.searchsorted(grow[row_order],
                                      np.arange(len(ugroups) + 1))
 
-        # PREDICTIVE policy: chain the previous window's Lp to the next
-        # window of the same source WITHIN this batch (groups iterate in
-        # (source, window) order); resets at batch boundaries
-        predictive = (cfg.policy_quantile is not None
-                      and cfg.policy_mode == "predictive")
-        last_lp: dict[int, int] = {}
-
         out_source, out_window, out_ndocs, out_ntokens, out_payload = \
             [], [], [], [], []
         for g in range(len(ugroups)):
-            src_code_g = int(ugroups[g] >> 40)
-            drop_below = last_lp.get(src_code_g, 0) if predictive else 0
-            sketches = self._new_sketches(drop_below)
+            sketches = self._new_sketches()
             toks = tok_sorted[tok_bounds[g]:tok_bounds[g + 1]]
             ngs = ng_sorted[ng_bounds[g]:ng_bounds[g + 1]]
             ng_slots_g = ng_slot_sorted[ng_bounds[g]:ng_bounds[g + 1]]
@@ -165,31 +155,15 @@ class PartialSketchBuilder:
                     sk.update(toks)  # distinct RAW tokens per window
                 elif kind in ("cms", "hops", "bottomk"):
                     # frequency estimator + samplers count NGRAM KEYS, the
-                    # key space the memory policy reads — the reference's
-                    # per-tree estimator is fed each inserted ngram
-                    # (``PMIndex/HBI.java:215-267``)
+                    # probe-key space — the reference's per-tree estimator
+                    # is fed each inserted ngram (``PMIndex/HBI.java:215-267``)
                     sk.update(ngs)
                 elif kind in ("kll_ntok", "tdigest_ntok"):
                     sk.update(n_tok[rows_g].astype(np.float64))
-            n_tokens_g = int(lengths[rows_g].sum())
-            if (predictive and "cms" in sketches
-                    and "bottomk" in sketches):
-                # this window's Lp predicts the NEXT window's pre-drop
-                # (reference applyMemoryPolicy -> lastPredictiveLp)
-                from ..pipelines.planner import memory_policy_level
-                reps = sketches["bottomk"].sample_keys()
-                freqs = (sketches["cms"].estimate(reps) if len(reps)
-                         else np.empty(0))
-                lp = memory_policy_level(
-                    freqs, n_tokens_g, quantile=cfg.policy_quantile,
-                    conf=cfg.policy_conf, fp=cfg.fp,
-                    max_depth=cfg.window_bits)
-                # clamp like HBI.java:318 (never predict away the leaf)
-                last_lp[src_code_g] = max(0, min(lp, cfg.window_bits - 1))
-            out_source.append(src_names[src_code_g])
+            out_source.append(src_names[int(ugroups[g] >> 40)])
             out_window.append(int(ugroups[g] & ((1 << 40) - 1)))
             out_ndocs.append(len(rows_g))
-            out_ntokens.append(n_tokens_g)
+            out_ntokens.append(int(lengths[rows_g].sum()))
             out_payload.append(self.serialize(sketches))
 
         return pa.table({

@@ -6,6 +6,7 @@ by numpy/pyarrow exact computations)."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pyarrow as pa
@@ -102,6 +103,30 @@ class TestBuild:
         (stale / MANIFEST).write_text(json.dumps(man))
         with pytest.raises(ValueError, match="format_version=3.*rebuild"):
             load_manifest(str(stale))
+
+    def test_v4_manifest_asks_for_a_rebuild_in_every_reader(self,
+                                                             tmp_path):
+        """A v4 manifest stores memory-policy config keys that
+        ``HbiConfig`` no longer has. ``load_manifest``, the CLI's config
+        read and decontam's config read all give the "rebuild" error,
+        not a ``TypeError`` from ``HbiConfig.from_json``."""
+        import argparse
+        import json
+
+        from hierarchical_bloom_filter_index_ray.cli import _cfg_for_index
+        from hierarchical_bloom_filter_index_ray.pipelines.build_index \
+            import MANIFEST
+        from hierarchical_bloom_filter_index_ray.pipelines.decontam import \
+            _index_cfg
+        config = {**CFG.to_json(), "policy_quantile": None,
+                  "policy_conf": 0.95, "policy_mode": "reactive"}
+        (tmp_path / MANIFEST).write_text(json.dumps(
+            {"format_version": 4, "config": config}))
+        readers = (load_manifest, _index_cfg,
+                   lambda d: _cfg_for_index(argparse.Namespace(index=d)))
+        for read in readers:
+            with pytest.raises(ValueError, match="format_version=4.*rebuild"):
+                read(str(tmp_path))
 
     def test_index_stores_folded_levels_over_an_unfolded_root(
             self, index_dir):
@@ -322,6 +347,86 @@ class TestStoredLevels:
         hits = {c for c in strided
                 if occurs(queries[c[0]][1], docs[where.index(c[1:])])}
         assert hits == oracle
+
+    def test_merge_rejects_partials_with_different_levels(self):
+        """Every partial of a window carries ``stored_levels()``. Two
+        partials whose level sets differ make the merge raise: keeping
+        only their common levels would silently drop a level."""
+        from hierarchical_bloom_filter_index_ray.stages.merge import \
+            merge_payloads
+        from hierarchical_bloom_filter_index_ray.stages.sketch_build import \
+            PartialSketchBuilder
+        cfg = HbiConfig(docs_per_window=64, sketches=("bloom_tree",))
+        builder = PartialSketchBuilder(cfg)
+        short = builder._new_sketches()
+        del short["bloom_tree"][3]
+        full = builder.serialize(builder._new_sketches())
+        short = builder.serialize(short)
+        for payloads in ([full, short], [short, full]):
+            with pytest.raises(ValueError, match="different bloom_tree"):
+                merge_payloads(payloads)
+        merged = merge_payloads([full, full])["bloom_tree"]
+        assert tuple(sorted(merged)) == cfg.stored_levels()
+
+    def test_merged_window_stores_the_unmerged_bytes(self):
+        """A 256-doc window (stored levels 0, 3, 6, 8) built from one
+        partial or merged from three stores the same ``bloom_tree``
+        bytes: the merged tree keeps the partials' level order."""
+        import pandas as pd
+
+        from hierarchical_bloom_filter_index_ray.stages.merge import \
+            merge_partials_group
+        from hierarchical_bloom_filter_index_ray.stages.sketch_build import \
+            PartialSketchBuilder
+        from hierarchical_bloom_filter_index_ray.stages.window import \
+            add_window_columns
+        cfg = HbiConfig(seed=3, docs_per_window=256, sketches=("bloom_tree",))
+        rng = np.random.default_rng(1)
+        docs = [rng.integers(0, 5000, rng.integers(8, 64)).astype(np.int32)
+                for _ in range(256)]
+        table = add_window_columns(pa.table({
+            "doc_id": pa.array(np.arange(256), pa.int64()),
+            "tokens": pa.array(docs, pa.list_(pa.int32())),
+            "n_tok": pa.array([len(d) for d in docs], pa.int32()),
+            "source": pa.array(["s0"] * 256)}), cfg)
+        builder = PartialSketchBuilder(cfg)
+
+        def tree(batch_rows):
+            parts = pd.concat([builder(table.slice(s, batch_rows)).to_pandas()
+                               for s in range(0, 256, batch_rows)])
+            assert len(parts) == -(-256 // batch_rows)
+            return merge_partials_group(
+                parts, params_hash=cfg.params_hash())["bloom_tree"].iloc[0]
+
+        assert tree(100) == tree(256)
+
+
+class TestBloomlessIndex:
+    """A config without ``bloom_tree`` builds an index of the other
+    sketches only; it has nothing to answer membership queries with."""
+
+    CFG_NB = replace(CFG, sketches=("hll",))
+
+    def test_membership_query_needs_bloom_tree(self):
+        with pytest.raises(ValueError, match="bloom_tree"):
+            membership_query(None, None, [("q0", [1, 2])], self.CFG_NB)
+
+    def test_probe_rejects_a_row_without_bloom_tree(self):
+        from hierarchical_bloom_filter_index_ray.pipelines.query_index \
+            import BloomProbe, compile_queries
+        rows = pa.table({"source": ["s0"], "window_id": [0],
+                         "bloom_tree": pa.array([None], pa.binary())})
+        probe = BloomProbe(CFG, compile_queries([("q0", [1, 2])], CFG))
+        with pytest.raises(ValueError, match="no bloom_tree"):
+            probe(rows)
+
+    def test_build_skips_the_super_store(self, ray_session, tmp_path):
+        out = tmp_path / "nobloom"
+        man = build_index(synth_sequences(256, seed=3, n_sources=2),
+                          self.CFG_NB, str(out), batch_size=128)
+        assert man["total_windows"] > 0
+        assert "super" not in man
+        assert not (out / "super").exists()
 
 
 class TestQuery:

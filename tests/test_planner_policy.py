@@ -1,5 +1,6 @@
-"""Level-choice math (pruning level, memory policy, HOPS design) and
-SketchAgg aggregate-adapter tests."""
+"""SketchAgg aggregate-adapter tests and the HOPS bucket design
+(Chebyshev occupancy + DKW sizing) that ``HbiConfig`` derives its
+bucket count from."""
 
 from __future__ import annotations
 
@@ -8,97 +9,9 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from hierarchical_bloom_filter_index_ray import HbiConfig
-from hierarchical_bloom_filter_index_ray.pipelines import (build_index,
-                                                           load_index,
-                                                           membership_query)
-from hierarchical_bloom_filter_index_ray.pipelines.planner import (
-    memory_policy_level, pruning_level_bloom)
-from hierarchical_bloom_filter_index_ray.sources import synth_sequences
 from hierarchical_bloom_filter_index_ray.stages.aggregate import (
     CmsAgg, HllAgg, KllQuantileAgg, KmvDistinctAgg, TDigestQuantileAgg)
 from hierarchical_bloom_filter_index_ray.state import sketch_from_bytes
-
-
-class TestPruningMath:
-    def test_level_monotone_in_prob(self):
-        # frequent tokens make shallow levels uninformative -> seed deeper;
-        # rare tokens discriminate at the root -> seed shallow
-        levels = [pruning_level_bloom(128, 8, 0.95, p, 0.01)
-                  for p in (0.5, 0.1, 0.01, 0.001, 1e-6)]
-        assert levels == sorted(levels, reverse=True)
-        assert 0 <= levels[-1] and levels[0] <= 8
-
-    def test_conf_below_beta_goes_deepest(self):
-        assert pruning_level_bloom(128, 8, 0.005, 0.1, 0.01) == 8
-
-
-class TestMemoryPolicy:
-    def test_policy_drops_shallow_levels_and_queries_still_exact(
-            self, ray_session, tmp_path):
-        cfg_pol = HbiConfig(seed=11, docs_per_window=64, fp=0.01, hll_p=12,
-                            cms_eps=0.02, cms_delta=0.05,
-                            policy_quantile=0.5, policy_conf=0.95)
-        ds = synth_sequences(512, seed=3, n_sources=2, vocab=4)
-        # tiny vocab -> every token very frequent -> shallow levels useless
-        build_index(ds, cfg_pol, str(tmp_path / "pol"), batch_size=128)
-        idx_pd = load_index(str(tmp_path / "pol")).to_pandas()
-        import pickle
-        trees = [pickle.loads(b) for b in idx_pd["bloom_tree"]]
-        assert any(min(t) > 0 for t in trees)  # some shallow level dropped
-        for t in trees:
-            assert max(t) == cfg_pol.window_bits  # leaves always kept
-        # queries remain exact
-        idx = load_index(str(tmp_path / "pol"))
-        rows = ds.take(3)
-        queries = [(f"q{i}", [int(r["tokens"][0])])
-                   for i, r in enumerate(rows)]
-        res = membership_query(idx, ds, queries, cfg_pol).to_pandas()
-        assert len(res) > 0
-
-    def test_predictive_policy_predrops_and_queries_still_exact(
-            self, ray_session, tmp_path):
-        """PREDICTIVE (HBI.java:241-242,317-318): the previous window's Lp
-        pre-drops the next window's shallow filters at BUILD time — dropped
-        levels are never built; queries stay exact (probe enters at the
-        shallowest surviving level)."""
-        import pickle
-        cfg_pred = HbiConfig(seed=11, docs_per_window=64, fp=0.01, hll_p=12,
-                             cms_eps=0.02, cms_delta=0.05,
-                             policy_quantile=0.5, policy_conf=0.95,
-                             policy_mode="predictive")
-        ds = synth_sequences(512, seed=3, n_sources=2, vocab=4)
-        build_index(ds, cfg_pred, str(tmp_path / "pred"), batch_size=128)
-        idx_pd = load_index(str(tmp_path / "pred")).to_pandas()
-        trees = [pickle.loads(b) for b in idx_pd["bloom_tree"]]
-        # windows after the first per (source, batch) chain were pre-dropped
-        assert any(min(t) > 0 for t in trees)
-        for t in trees:
-            assert max(t) == cfg_pred.window_bits  # leaf always survives
-        # results identical to an unpolicied index
-        cfg_plain = HbiConfig(seed=11, docs_per_window=64, fp=0.01,
-                              hll_p=12, cms_eps=0.02, cms_delta=0.05)
-        build_index(ds, cfg_plain, str(tmp_path / "plain"), batch_size=128)
-        rows = ds.take(3)
-        queries = [(f"q{i}", [int(r["tokens"][0])])
-                   for i, r in enumerate(rows)]
-        res_pred = membership_query(load_index(str(tmp_path / "pred")), ds,
-                                    queries, cfg_pred)
-        res_plain = membership_query(load_index(str(tmp_path / "plain")),
-                                     ds, queries, cfg_plain)
-        assert res_plain.num_rows > 0
-        assert res_pred.equals(res_plain)
-
-    def test_memory_policy_level_bounds(self):
-        freqs = np.full(100, 50.0)
-        lp = memory_policy_level(freqs, 1000, quantile=0.5, conf=0.95,
-                                 fp=0.01, max_depth=8)
-        assert 0 <= lp <= 8
-        # very frequent tokens -> deeper lp than very rare ones
-        lp_rare = memory_policy_level(np.full(100, 0.001), 10**6,
-                                      quantile=0.5, conf=0.95, fp=0.01,
-                                      max_depth=8)
-        assert lp >= lp_rare
 
 
 class TestSketchAgg:

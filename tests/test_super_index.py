@@ -63,6 +63,17 @@ class TestSuperBuild:
         nodes = [lv["nodes"] for lv in meta["levels"]]
         assert all(a > b for a, b in zip(nodes, nodes[1:]))
 
+    def test_index_row_without_a_root_is_rejected(self):
+        """Every window stores its level-0 bloom, so a null
+        ``root_bloom`` means a corrupt index: the super build raises
+        instead of summarizing the window as an always-pass node."""
+        from hierarchical_bloom_filter_index_ray.pipelines.super_index \
+            import _extract_roots
+        rows = pd.DataFrame({"source": ["s0"], "window_id": [0],
+                             "root_bloom": pd.Series([None], dtype=object)})
+        with pytest.raises(ValueError, match="root_bloom"):
+            _extract_roots(rows, fanout=2)
+
     def test_missing_token_dies_at_top(self, index_dir):
         """The headline property: an absent token probes O(levels) super
         nodes instead of O(windows) window trees."""
@@ -311,33 +322,6 @@ class TestSuperQuery:
 
 
 class TestSuperCombinedModes:
-    def test_policy_dropped_roots_become_always_pass(self, ray_session,
-                                                     tmp_path):
-        """A window whose level-0 bloom was dropped by the memory policy
-        must propagate as an always-pass super node — queries stay exact
-        with super pruning enabled."""
-        from hierarchical_bloom_filter_index_ray.sources import \
-            synth_sequences
-        cfg_pol = HbiConfig(seed=11, docs_per_window=64, fp=0.01, hll_p=12,
-                            cms_eps=0.02, cms_delta=0.05,
-                            policy_quantile=0.5, policy_conf=0.95)
-        ds = synth_sequences(1024, seed=3, n_sources=2, vocab=4)
-        out = tmp_path / "pol"
-        build_index(ds, cfg_pol, str(out), batch_size=128)
-        # policy with vocab=4 drops shallow levels incl. level 0
-        import pickle
-        idx_pd = load_index(str(out)).to_pandas()
-        assert any(min(pickle.loads(b)) > 0 for b in idx_pd["bloom_tree"])
-        rows = ds.take(3)
-        queries = [(f"q{i}", [int(r["tokens"][0])])
-                   for i, r in enumerate(rows)]
-        plain = membership_query(load_index(str(out)), ds, queries,
-                                 cfg_pol)
-        pruned = membership_query(load_index(str(out)), ds, queries,
-                                  cfg_pol, super_dir=str(out))
-        assert plain.num_rows > 0
-        assert plain.equals(pruned)
-
     def test_candidate_structs_match_serial_build(self):
         """The verify workers' one-pass struct build from the probe's
         candidate blocks reproduces exactly the serial per-source
